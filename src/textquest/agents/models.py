@@ -5,6 +5,13 @@ the inventory listing, the room description, and the previous action each
 run through their own GRU, and the final hidden states concatenate into a
 single observation vector of width 4 * hidden_dim.
 
+Every GRU input is deduplicated per batch: `encode_texts` encodes each
+distinct token list once and gathers the rows back (`h[inverse]`), and its
+backward pass scatter-adds the gradients of repeated rows onto the one
+encoded row (`np.add.at`). Replay batches repeat the same few
+observations and action strings, so this removes most of the GRU rows in a
+DRRN update and in action selection, and no call site needs to know.
+
 The relevance network (DRRN) additionally encodes a candidate action string
 with a fifth GRU and scores the (observation, action) pair with a two-layer
 head ending in a scalar Q value.
@@ -60,47 +67,54 @@ def encoder_params(rng: np.random.Generator, cfg: ModelConfig) -> Params:
     return params
 
 
+def _first_occurrences(token_lists: list[list[int]]
+                       ) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Distinct token lists in first-seen order, and each row's index in it."""
+    first: dict[tuple[int, ...], int] = {}
+    inverse = [first.setdefault(tuple(t), len(first)) for t in token_lists]
+    return list(first), np.array(inverse, dtype=np.intp)
+
+
+def encode_texts(params: Params, cfg: ModelConfig, name: str,
+                 token_lists: list[list[int]]) -> tuple[np.ndarray, dict]:
+    """Encode token lists (action strings, one observation channel) into
+    (B, H) with the GRU `name`, each distinct list once."""
+    unique, inverse = _first_occurrences(token_lists)
+    ids, mask = pad_batch(unique)
+    x = embed_forward(params, "embed", ids)
+    h, gcache = gru_forward(params, name, x, mask)
+    return h[inverse], {"ids": ids, "gru": gcache, "inverse": inverse}
+
+
+def encode_texts_backward(params: Params, cache: dict,
+                          dh: np.ndarray) -> Params:
+    dh_unique = np.zeros((cache["ids"].shape[0], dh.shape[1]))
+    np.add.at(dh_unique, cache["inverse"], dh)
+    grads, dx = gru_backward(params, cache["gru"], dh_unique)
+    add_grads(grads, embed_backward(params, "embed", cache["ids"], dx))
+    return grads
+
+
 def encode_observations(params: Params, cfg: ModelConfig,
                         batch: list[TokenChannels]) -> tuple[np.ndarray, dict]:
     """Encode a batch of four-channel token tuples into (B, 4H)."""
     parts = []
     caches = []
     for idx, channel in enumerate(CHANNELS):
-        ids, mask = pad_batch([sample[idx] for sample in batch])
-        x = embed_forward(params, "embed", ids)
-        h, gcache = gru_forward(params, f"enc.{channel}", x, mask)
+        h, ccache = encode_texts(params, cfg, f"enc.{channel}",
+                                 [sample[idx] for sample in batch])
         parts.append(h)
-        caches.append({"ids": ids, "gru": gcache})
+        caches.append(ccache)
     return np.concatenate(parts, axis=1), {"channels": caches, "cfg": cfg}
 
 
 def encode_observations_backward(params: Params, cache: dict,
                                  dnu: np.ndarray) -> Params:
-    cfg: ModelConfig = cache["cfg"]
+    hid = cache["cfg"].hidden_dim
     grads: Params = {}
-    hid = cfg.hidden_dim
-    for idx in range(len(CHANNELS)):
-        ccache = cache["channels"][idx]
-        dh = dnu[:, idx * hid:(idx + 1) * hid]
-        ggrads, dx = gru_backward(params, ccache["gru"], dh)
-        add_grads(grads, ggrads)
-        add_grads(grads, embed_backward(params, "embed", ccache["ids"], dx))
-    return grads
-
-
-def encode_texts(params: Params, cfg: ModelConfig, name: str,
-                 token_lists: list[list[int]]) -> tuple[np.ndarray, dict]:
-    """Encode plain token lists (action strings) with the GRU `name`."""
-    ids, mask = pad_batch(token_lists)
-    x = embed_forward(params, "embed", ids)
-    h, gcache = gru_forward(params, name, x, mask)
-    return h, {"ids": ids, "gru": gcache}
-
-
-def encode_texts_backward(params: Params, cache: dict,
-                          dh: np.ndarray) -> Params:
-    grads, dx = gru_backward(params, cache["gru"], dh)
-    add_grads(grads, embed_backward(params, "embed", cache["ids"], dx))
+    for idx, ccache in enumerate(cache["channels"]):
+        add_grads(grads, encode_texts_backward(
+            params, ccache, dnu[:, idx * hid:(idx + 1) * hid]))
     return grads
 
 

@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable
 
 from . import engine
 from .gamedefs import GameDef
 from .grammar import (ActionCandidate, ParseKind, Template, Vocabulary,
                       enumerate_candidates)
-from .world import Snapshot, WorldState, state_diff
+from .world import (ObjectNode, Snapshot, SnapshotError, WorldState,
+                    state_diff, universe_node)
 
 EPISODE_STEP_CAP = 100  # valid steps per episode under the benchmark protocol
 
@@ -120,6 +123,12 @@ def world_changed_exact(before: WorldState, after: WorldState) -> bool:
     return any(change.field in ("score", "done") for change in diff.status)
 
 
+def _static_table(nodes: Iterable[ObjectNode]
+                  ) -> dict[int, tuple[tuple[str, ...], str]]:
+    """What a game fixes about its objects: id -> (names, kind)."""
+    return {node.id: (node.names, node.kind) for node in nodes}
+
+
 class Environment:
     """One playable episode stream over a fixed game definition."""
 
@@ -214,9 +223,23 @@ class Environment:
         self._require("load_save")
         return self._require_started().snapshot()
 
+    @cached_property
+    def _game_table(self) -> dict[int, tuple[tuple[str, ...], str]]:
+        return _static_table((universe_node(), *self.game.objects))
+
     def load(self, snapshot: Snapshot) -> None:
+        """Restore a snapshot taken in this game.
+
+        Raises SnapshotError for bytes that do not decode, and for a
+        snapshot whose static object table (ids, names, kinds) differs from
+        this environment's game, such as one saved in another game.
+        """
         self._require("load_save")
-        self._state = snapshot.restore()
+        state = snapshot.restore()
+        if _static_table(state.tree.nodes.values()) != self._game_table:
+            raise SnapshotError(
+                f"snapshot does not belong to game {self.game.title!r}")
+        self._state = state
         self._narrative = engine.render_room(self._state, self.game)
         self._prev_action = ""
 

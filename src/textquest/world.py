@@ -223,8 +223,10 @@ class WorldObjectTree:
             if cur in seen:
                 raise TreeError(f"node {cur} reachable twice")
             seen.add(cur)
+            # walk the chain lazily: the id-order check also stops a cycle
             prev = None
-            for child in self.children(cur):
+            child = self.first_child[cur]
+            while child is not None:
                 if self.parent[child] != cur:
                     raise TreeError(
                         f"chain of {cur} lists {child} whose parent differs")
@@ -232,6 +234,7 @@ class WorldObjectTree:
                     raise TreeError(f"chain of {cur} is not id-ordered")
                 prev = child
                 stack.append(child)
+                child = self.sibling[child]
         missing = set(self.nodes) - seen
         if missing:
             raise TreeError(f"unreachable nodes: {sorted(missing)}")
@@ -361,7 +364,11 @@ class Snapshot:
     data: bytes
 
     def restore(self) -> WorldState:
-        return _decode(self.data)
+        """Decode and validate; every malformed input raises SnapshotError."""
+        try:
+            return _decode(self.data)
+        except (UnicodeDecodeError, KeyError, TreeError, struct.error) as exc:
+            raise SnapshotError(f"corrupt snapshot: {exc!r}") from exc
 
 
 class _Reader:
@@ -413,6 +420,12 @@ def _decode(data: bytes) -> WorldState:
             read_text = r.take_bytes(length).decode("utf-8")
         if kind_code >= len(KINDS):
             raise SnapshotError(f"unknown kind code {kind_code}")
+        if not names:
+            raise SnapshotError(f"object {obj_id} has no name")
+        if mask >> len(ATTRIBUTES):
+            raise SnapshotError(f"unknown attribute bits in {mask:#x}")
+        if obj_id in tree.nodes:
+            raise SnapshotError(f"duplicate object id {obj_id}")
         attrs = {a for a in ATTRIBUTES if mask & _ATTR_BIT[a]}
         tree.nodes[obj_id] = ObjectNode(
             id=obj_id, names=tuple(names), kind=KINDS[kind_code],
@@ -425,6 +438,10 @@ def _decode(data: bytes) -> WorldState:
     def opt(value: int) -> int | None:
         return None if value < 0 else value
 
+    ends = {end for trio in links.values() for end in trio if end >= 0}
+    if not ends <= tree.nodes.keys():
+        raise SnapshotError(
+            f"links name unknown ids {sorted(ends - tree.nodes.keys())}")
     for obj_id, (parent, first, sib) in links.items():
         tree.parent[obj_id] = opt(parent)
         tree.first_child[obj_id] = opt(first)

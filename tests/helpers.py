@@ -1,4 +1,6 @@
-"""Shared test machinery: fixture batches and full-coordinate FD checks."""
+"""Shared test machinery: fixture batches, full-coordinate FD checks, and
+the per-gate GRU that the fused one in textquest.agents.nn is checked
+against."""
 
 import numpy as np
 
@@ -85,3 +87,84 @@ def fd_worst_error(params, grads, loss_fn, h=FD_H, floor=FD_FLOOR):
             denom = max(abs(numeric), abs(gflat[i]), floor)
             worst = max(worst, abs(numeric - gflat[i]) / denom)
     return worst
+
+
+# -- reference GRU --------------------------------------------------------------
+# One matmul per gate per step, batch-major, caches kept as a per-step list:
+# the plain transcription of the equations in textquest.agents.nn.
+
+
+def reference_sigmoid(x):
+    """Logistic function with the two tails computed separately."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def reference_gru_forward(params, name, x, mask):
+    batch, steps, _ = x.shape
+    hidden = params[f"{name}.Uz"].shape[0]
+    wz, uz, bz = params[f"{name}.Wz"], params[f"{name}.Uz"], params[f"{name}.bz"]
+    wr, ur, br = params[f"{name}.Wr"], params[f"{name}.Ur"], params[f"{name}.br"]
+    wc, uc, bc = params[f"{name}.Wc"], params[f"{name}.Uc"], params[f"{name}.bc"]
+    h = np.zeros((batch, hidden))
+    trace = []
+    for t in range(steps):
+        xt = x[:, t, :]
+        m = mask[:, t:t + 1]
+        z = reference_sigmoid(xt @ wz + h @ uz + bz)
+        r = reference_sigmoid(xt @ wr + h @ ur + br)
+        hu = h @ uc
+        c = np.tanh(xt @ wc + r * hu + bc)
+        h_new = z * h + (1.0 - z) * c
+        trace.append((xt, h, z, r, c, hu, m))
+        h = m * h_new + (1.0 - m) * h
+    return h, {"name": name, "trace": trace, "shape": x.shape}
+
+
+def reference_gru_backward(params, cache, dh):
+    name = cache["name"]
+    wz, uz = params[f"{name}.Wz"], params[f"{name}.Uz"]
+    wr, ur = params[f"{name}.Wr"], params[f"{name}.Ur"]
+    wc, uc = params[f"{name}.Wc"], params[f"{name}.Uc"]
+    grads = {f"{name}.{g}": np.zeros_like(params[f"{name}.{g}"])
+             for g in ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wc", "Uc", "bc")}
+    dx_all = np.zeros(cache["shape"])
+    dh = dh.copy()
+    for t in range(len(cache["trace"]) - 1, -1, -1):
+        xt, h_prev, z, r, c, hu, m = cache["trace"][t]
+        dh_new = dh * m
+        dh_prev = dh * (1.0 - m)
+        # h' = z * h_prev + (1 - z) * c
+        dz = dh_new * (h_prev - c)
+        dc = dh_new * (1.0 - z)
+        dh_prev = dh_prev + dh_new * z
+        # c = tanh(x Wc + r * hu + bc)
+        da_c = dc * (1.0 - c * c)
+        grads[f"{name}.Wc"] += xt.T @ da_c
+        grads[f"{name}.bc"] += da_c.sum(axis=0)
+        dx = da_c @ wc.T
+        dr = da_c * hu
+        dhu = da_c * r
+        grads[f"{name}.Uc"] += h_prev.T @ dhu
+        dh_prev = dh_prev + dhu @ uc.T
+        # z = sigmoid(x Wz + h_prev Uz + bz)
+        da_z = dz * z * (1.0 - z)
+        grads[f"{name}.Wz"] += xt.T @ da_z
+        grads[f"{name}.Uz"] += h_prev.T @ da_z
+        grads[f"{name}.bz"] += da_z.sum(axis=0)
+        dx += da_z @ wz.T
+        dh_prev = dh_prev + da_z @ uz.T
+        # r = sigmoid(x Wr + h_prev Ur + br)
+        da_r = dr * r * (1.0 - r)
+        grads[f"{name}.Wr"] += xt.T @ da_r
+        grads[f"{name}.Ur"] += h_prev.T @ da_r
+        grads[f"{name}.br"] += da_r.sum(axis=0)
+        dx += da_r @ wr.T
+        dh_prev = dh_prev + da_r @ ur.T
+        dx_all[:, t, :] = dx
+        dh = dh_prev
+    return grads, dx_all

@@ -9,6 +9,7 @@ from textquest.env import (CapabilityError, Environment, EpisodeDoneError,
                            world_changed, world_changed_exact)
 from textquest.gamedefs import load_bundled, parse_game
 from textquest.grammar import ParseKind
+from textquest.world import SnapshotError
 
 
 @pytest.fixture
@@ -196,6 +197,18 @@ def test_load_between_environments(env, tinybox):
     other.reset(seed=99)
     other.load(snap)
     assert other.state_hash() == env.state_hash()
+
+
+def test_load_rejects_another_games_snapshot():
+    mailhouse = Environment(load_bundled("mailhouse"))
+    mailhouse.reset(seed=0)
+    before = mailhouse.save()
+    packrat = Environment(load_bundled("packrat"))
+    packrat.reset(seed=0)
+    with pytest.raises(SnapshotError, match="mailhouse"):
+        mailhouse.load(packrat.save())
+    assert mailhouse.save() == before
+    packrat.load(packrat.save())
 
 
 # -- valid-action detection ----------------------------------------------------------

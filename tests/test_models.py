@@ -115,6 +115,83 @@ def test_drrn_backward_only_touches_existing_params():
         assert grad.shape == params[key].shape
 
 
+# -- per-batch dedupe of encoder inputs ---------------------------------------------
+
+
+def _batch_with_repeats(rng, cfg):
+    """A DRRN replay batch whose samples share observations and actions."""
+    batch = make_drrn_batch(rng, cfg, size=5)
+    for i in (2, 3, 4):
+        batch[i]["obs"] = batch[i % 2]["obs"]
+        batch[i]["act"] = batch[0]["act"]
+    batch[4]["next_obs"] = batch[2]["next_obs"]
+    batch[4]["next_acts"] = batch[2]["next_acts"] + batch[3]["next_acts"]
+    return batch
+
+
+def test_drrn_repeated_inputs_are_encoded_once():
+    cfg = tiny_config()
+    rng = np.random.default_rng(12)
+    params = drrn_init(rng, cfg)
+    batch = _batch_with_repeats(rng, cfg)
+    _, cache = drrn_q_pairs(params, cfg, [s["obs"] for s in batch],
+                            [s["act"] for s in batch])
+    assert cache["act"]["ids"].shape[0] == 2
+    for ccache in cache["obs"]["channels"]:
+        assert ccache["ids"].shape[0] <= 2
+        assert ccache["inverse"].tolist()[2:] == [0, 1, 0]
+
+
+def test_drrn_q_with_repeats_matches_batch_of_one():
+    cfg = tiny_config()
+    rng = np.random.default_rng(13)
+    params = drrn_init(rng, cfg)
+    batch = _batch_with_repeats(rng, cfg)
+    q, _ = drrn_q_pairs(params, cfg, [s["obs"] for s in batch],
+                        [s["act"] for s in batch])
+    lists = drrn_q_values(params, cfg, [s["next_obs"] for s in batch],
+                          [s["next_acts"] for s in batch])
+    for i, sample in enumerate(batch):
+        single, _ = drrn_q_pairs(params, cfg, [sample["obs"]],
+                                 [sample["act"]])
+        assert q[i] == pytest.approx(single[0], rel=1e-12)
+        alone = drrn_q_values(params, cfg, [sample["next_obs"]],
+                              [sample["next_acts"]])[0]
+        assert np.allclose(lists[i], alone, rtol=1e-12, atol=0.0)
+
+
+def test_drrn_loss_with_repeats_matches_fd():
+    cfg = tiny_config()
+    rng = np.random.default_rng(14)
+    params = drrn_init(rng, cfg)
+    target = copy_params(drrn_init(rng, cfg))
+    batch = _batch_with_repeats(rng, cfg)
+
+    def loss():
+        return drrn_loss(params, target, cfg, batch, gamma=0.9)[0]
+
+    _, grads, _ = drrn_loss(params, target, cfg, batch, gamma=0.9)
+    worst = fd_worst_error(params, grads, loss)
+    assert worst < FD_REL_TOL, f"worst relative error {worst:.3e}"
+
+
+def test_tdqn_loss_with_duplicate_observations_matches_fd():
+    cfg = tiny_config()
+    rng = np.random.default_rng(15)
+    params = tdqn_init(rng, cfg, n_templates=4, n_words=6)
+    target = copy_params(tdqn_init(rng, cfg, n_templates=4, n_words=6))
+    batch = make_tdqn_batch(rng, cfg, size=4)
+    batch[2]["obs"] = batch[3]["obs"] = batch[0]["obs"]
+    batch[3]["next_obs"] = batch[1]["next_obs"]
+
+    def loss():
+        return tdqn_loss(params, target, cfg, batch, gamma=0.9)[0]
+
+    _, _, _, grads, _ = tdqn_loss(params, target, cfg, batch, gamma=0.9)
+    worst = fd_worst_error(params, grads, loss)
+    assert worst < FD_REL_TOL, f"worst relative error {worst:.3e}"
+
+
 # -- DRRN loss semantics -------------------------------------------------------------
 
 

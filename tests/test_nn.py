@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from helpers import (reference_gru_backward, reference_gru_forward,
+                     reference_sigmoid)
 from textquest.agents.nn import (Adam, add_grads, copy_params, embed_backward,
                                  embed_forward, embedding_params, gru_backward,
                                  gru_forward, gru_params, linear_backward,
@@ -45,6 +47,17 @@ def test_sigmoid_stable_at_extremes():
     assert y[2] == 0.5
     assert y[4] == pytest.approx(1.0)
     assert np.all(np.diff(y) >= 0)
+
+
+def test_sigmoid_raises_no_float_warnings_at_extremes():
+    with np.errstate(all="raise"):
+        y = sigmoid(np.array([-1e4, 1e4]))
+    assert y.tolist() == [0.0, 1.0]
+
+
+def test_sigmoid_matches_two_tailed_form():
+    x = np.linspace(-40.0, 40.0, 8001)
+    assert np.max(np.abs(sigmoid(x) - reference_sigmoid(x))) <= 1e-15
 
 
 def test_relu_and_backward():
@@ -171,6 +184,35 @@ def test_embed_backward_accumulates_repeats():
     grads = embed_backward(params, "emb", ids, dx)
     assert np.all(grads["emb"][2] == 3.0)
     assert np.all(grads["emb"][[0, 1, 3, 4]] == 0.0)
+
+
+# -- the fused GRU against the per-gate reference --------------------------------
+
+
+@pytest.mark.parametrize("lengths,steps", [
+    ([5, 2, 4, 1], 5),  # ragged
+    ([3, 0, 2], 3),     # a fully masked row
+    ([1, 1, 0], 1),     # T = 1
+    ([4], 4),           # B = 1
+    ([2], 3),           # B = 1 with padding
+])
+def test_fused_gru_matches_reference(lengths, steps):
+    rng = np.random.default_rng(len(lengths) * 10 + steps)
+    params = gru_params(rng, "g", input_dim=3, hidden=4)
+    x = rng.normal(size=(len(lengths), steps, 3))
+    mask = (np.arange(steps) < np.array(lengths)[:, None]).astype(float)
+    dh = rng.normal(size=(len(lengths), 4))
+    h, cache = gru_forward(params, "g", x, mask)
+    h_ref, cache_ref = reference_gru_forward(params, "g", x, mask)
+    grads, dx = gru_backward(params, cache, dh)
+    grads_ref, dx_ref = reference_gru_backward(params, cache_ref, dh)
+    assert np.max(np.abs(h - h_ref)) <= 1e-12
+    assert dx.shape == dx_ref.shape
+    assert np.max(np.abs(dx - dx_ref)) <= 1e-12
+    assert set(grads) == set(grads_ref)
+    for key, grad in grads_ref.items():
+        assert grads[key].shape == grad.shape
+        assert np.max(np.abs(grads[key] - grad)) <= 1e-12, key
 
 
 # -- masking semantics --------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Object forest, canonical snapshots, hashes, and diffs."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from textquest.engine import init_state
+from textquest.gamedefs import load_bundled
 from textquest.rng import SplitMix64
 from textquest.world import (ATTRIBUTES, ObjectNode, Snapshot, SnapshotError,
                              TreeError, WorldObjectTree, WorldState,
@@ -168,6 +172,73 @@ def test_decode_rejects_unknown_version(state):
     data[4] = 99  # version byte follows the 4-byte magic
     with pytest.raises(SnapshotError):
         Snapshot(bytes(data)).restore()
+
+
+# node 13's record opens with its id, kind (item), one name "pebble"
+PEBBLE_RECORD = struct.pack("<IBBH", 13, 1, 1, 6) + b"pebble"
+
+
+def _duplicate_id(state, data):
+    return data.replace(PEBBLE_RECORD,
+                        struct.pack("<I", 12) + PEBBLE_RECORD[4:])
+
+
+def _bad_utf8(state, data):
+    return data.replace(b"pebble", b"\xffebble")
+
+
+def _unknown_attribute_bit(state, data):
+    # the root's mask follows magic, version, flags, count, id, kind,
+    # name count and its one name "universe"
+    offset = 4 + 2 + 4 + 4 + 1 + 1 + 2 + len("universe")
+    return data[:offset] + struct.pack("<H", 1 << 15) + data[offset + 2:]
+
+
+def _nameless(state, data):
+    return data.replace(PEBBLE_RECORD, struct.pack("<IBB", 13, 1, 0))
+
+
+def _dangling_link(state, data):
+    state.tree.sibling[13] = 99
+    return state.encode()
+
+
+def _sibling_cycle(state, data):
+    state.tree.sibling[13] = 10
+    return state.encode()
+
+
+def _orphan(state, data):
+    state.tree.first_child[11] = None  # the egg still names 11 as parent
+    return state.encode()
+
+
+@pytest.mark.parametrize("corrupt", [_duplicate_id, _bad_utf8, _nameless,
+                                     _unknown_attribute_bit, _dangling_link,
+                                     _sibling_cycle, _orphan])
+def test_decode_rejects_corruption_with_snapshot_error(state, corrupt):
+    data = state.snapshot().data
+    bad = corrupt(state, data)
+    assert bad != data
+    with pytest.raises(SnapshotError):
+        Snapshot(bad).restore()
+
+
+MAILHOUSE_SNAPSHOT = init_state(load_bundled("mailhouse"), 0).snapshot().data
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, len(MAILHOUSE_SNAPSHOT) - 1),
+                          st.integers(0, 255)), min_size=1, max_size=4))
+def test_mutated_snapshot_raises_snapshot_error_or_validates(edits):
+    data = bytearray(MAILHOUSE_SNAPSHOT)
+    for pos, value in edits:
+        data[pos] = value
+    try:
+        restored = Snapshot(bytes(data)).restore()
+    except SnapshotError:
+        return
+    restored.tree.validate()
 
 
 def test_attribute_bit_order_is_sorted():
