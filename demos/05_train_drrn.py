@@ -9,12 +9,12 @@ learning curve CSV lands next to this script.
 import os
 
 from textquest import load_bundled
-from textquest.agents import TrainConfig, train_drrn, write_learning_curve
+from textquest.agents import TrainConfig, train, write_learning_curve
 
 game = load_bundled("mailhouse")
 cfg = TrainConfig(agent="drrn", max_env_steps=6000, early_stop_score=9.0,
                   max_seconds=120)
-result = train_drrn(game, cfg, seed=1)
+result = train(game, cfg, seed=1)
 
 print(f"episodes:        {len(result.episodes)}")
 print(f"env steps:       {result.env_steps}")

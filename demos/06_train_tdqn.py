@@ -7,12 +7,12 @@ mixed equally with TD) steers the heads toward commands that parse.
 """
 
 from textquest import load_bundled
-from textquest.agents import TrainConfig, train_tdqn
+from textquest.agents import TrainConfig, train
 
 game = load_bundled("mailhouse")
 cfg = TrainConfig(agent="tdqn", max_env_steps=20_000, early_stop_score=5.0,
                   max_seconds=180)
-result = train_tdqn(game, cfg, seed=1)
+result = train(game, cfg, seed=1)
 
 print(f"episodes:        {len(result.episodes)}")
 print(f"env steps:       {result.env_steps} (invalid commands count here,")

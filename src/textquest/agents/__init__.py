@@ -12,8 +12,7 @@ from .training import (AGENT_KINDS, CANONICAL_ACTIONS, Checkpoint,
                        CheckpointError, EpisodeRecord, TrainConfig,
                        TrainResult, evaluate, load_checkpoint,
                        result_from_checkpoint, run_random, save_checkpoint,
-                       train, train_drrn, train_random, train_tdqn,
-                       write_learning_curve)
+                       train, write_learning_curve)
 
 __all__ = [
     "AGENT_KINDS", "Adam", "CANONICAL_ACTIONS", "Checkpoint",
@@ -23,6 +22,5 @@ __all__ = [
     "drrn_loss", "drrn_q_pairs", "drrn_q_values", "epsilon_greedy",
     "evaluate", "linear_anneal", "load_checkpoint", "result_from_checkpoint",
     "run_random", "save_checkpoint", "softmax", "softmax_select", "td_error",
-    "tdqn_forward", "tdqn_init", "tdqn_loss", "train", "train_drrn",
-    "train_random", "train_tdqn", "write_learning_curve",
+    "tdqn_forward", "tdqn_init", "tdqn_loss", "train", "write_learning_curve",
 ]

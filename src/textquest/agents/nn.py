@@ -199,7 +199,7 @@ def linear_backward(params: Params, cache: dict,
 
 
 class Adam:
-    """Standard Adam with bias correction; state serializes with checkpoints."""
+    """Standard Adam with bias correction."""
 
     def __init__(self, params: Params, lr: float = 1e-3,
                  betas: tuple[float, float] = (0.9, 0.999),
@@ -221,19 +221,6 @@ class Adam:
             v = self.v[key] = b2 * self.v[key] + (1 - b2) * grad * grad
             params[key] -= self.lr * (m / correct1) / \
                 (np.sqrt(v / correct2) + self.eps)
-
-    def state(self) -> dict:
-        return {"t": self.t, "m": self.m, "v": self.v, "lr": self.lr,
-                "beta1": self.beta1, "beta2": self.beta2, "eps": self.eps}
-
-    @classmethod
-    def from_state(cls, params: Params, state: dict) -> "Adam":
-        opt = cls(params, lr=state["lr"],
-                  betas=(state["beta1"], state["beta2"]), eps=state["eps"])
-        opt.t = state["t"]
-        opt.m = {k: np.array(v) for k, v in state["m"].items()}
-        opt.v = {k: np.array(v) for k, v in state["v"].items()}
-        return opt
 
 
 # -- utilities -------------------------------------------------------------------

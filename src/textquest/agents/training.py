@@ -1,18 +1,27 @@
 """Training, evaluation, and rollout harness for the bundled agents.
 
-Three agents share one protocol: episodes end when the game ends or after
-`step_cap` accepted commands, the per-episode return is the sum of score
-deltas, and every run is reproducible from a single integer seed (all
-randomness flows through SplitMix64, numpy is seeded from it once for
-parameter init).
+Every run, whether training, evaluation or a benchmark rollout, goes through
+one episode protocol in `_rollout`, which steps its agent's environments
+round-robin: each round the agent picks one command per environment, each
+environment steps and the agent observes the result, and the round ends
+with one `update`. An episode ends when the game ends, after
+`step_cap` accepted commands, or after `max_episode_issues` commands of any
+kind (rejected commands do not count as moves, so an agent that only types
+nonsense would otherwise never finish). Only ended episodes are recorded: a
+run cut short by its step budget or its clock drops the episodes still in
+flight. The per-episode return is the sum of score deltas, and every run is
+reproducible from a single integer seed (all randomness flows through
+SplitMix64, numpy is seeded from it once for parameter init).
 
-The relevance agent (drrn) drives several environments round-robin, picks
-among detected valid actions with a softmax over Q values, and performs one
-prioritized replay update per round. The template agent (tdqn) drives one
-environment, assembles a command from its three heads with per-head
-epsilon-greedy selection, and mixes TD learning with valid-action
-supervision. The random agent issues canonical commands uniformly and
-learns nothing; it exists as the floor every learner must beat.
+The relevance agent (drrn) drives several environments, picks among
+detected valid actions with a softmax over Q values while training and by
+argmax when evaluating, and performs prioritized replay updates every
+round. The template agent (tdqn) drives one environment, assembles a
+command from its three heads with per-head epsilon-greedy selection
+(annealed while training, `eps_end` when evaluating), and mixes TD learning
+with valid-action supervision. The random agent issues canonical commands
+uniformly and learns nothing; it exists as the floor every learner must
+beat.
 
 Learning curves are CSV with header "episode,steps,return,score" where
 steps is the cumulative environment step count when the episode finished.
@@ -24,14 +33,13 @@ from __future__ import annotations
 
 import json
 import time
-from collections import deque
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from ..env import EPISODE_STEP_CAP, Environment, Handicaps
+from ..env import EPISODE_STEP_CAP, Environment, Handicaps, StepResult
 from ..gamedefs import GameDef
-from ..grammar import Template, fill_template
+from ..grammar import fill_template
 from ..rng import SplitMix64
 from .models import (ModelConfig, TokenChannels, drrn_init, drrn_loss,
                      drrn_q_values, tdqn_forward, tdqn_init, tdqn_loss)
@@ -48,6 +56,9 @@ CANONICAL_ACTIONS = ("north", "south", "east", "west", "up", "down", "look",
                      "inventory", "take all", "drop", "yes")
 
 CHECKPOINT_VERSION = 1
+_META_KEYS = ("agent", "train_config", "model_config", "tokenizer_words",
+              "tokenizer_max_len", "templates", "words", "env_steps",
+              "updates")
 CURVE_HEADER = "episode,steps,return,score"
 
 FULL_HANDICAPS = Handicaps(fixed_seed=True, load_save=True,
@@ -160,7 +171,6 @@ class TrainResult:
     reached_step: int | None  # env steps when the early-stop target was met
     templates: tuple[str, ...] = ()
     words: tuple[str, ...] = ()
-    rng_states: dict = field(default_factory=dict)
 
     def rolling_mean(self, window: int | None = None) -> float | None:
         window = window or self.config.rolling_window
@@ -184,8 +194,7 @@ def write_learning_curve(path: str, result: TrainResult) -> None:
 # -- checkpoints -------------------------------------------------------------------
 
 
-def save_checkpoint(path: str, result: TrainResult,
-                    adam: Adam | None = None) -> None:
+def save_checkpoint(path: str, result: TrainResult) -> None:
     if result.params is None:
         raise CheckpointError(f"the {result.agent} agent has no parameters")
     meta = {
@@ -200,15 +209,8 @@ def save_checkpoint(path: str, result: TrainResult,
         "env_steps": result.env_steps,
         "episodes": len(result.episodes),
         "updates": result.updates,
-        "rng_states": result.rng_states,
     }
     arrays = {f"p:{k}": v for k, v in result.params.items()}
-    if adam is not None:
-        state = adam.state()
-        meta["adam"] = {k: state[k] for k in
-                        ("t", "lr", "beta1", "beta2", "eps")}
-        arrays.update({f"m:{k}": v for k, v in state["m"].items()})
-        arrays.update({f"v:{k}": v for k, v in state["v"].items()})
     with open(path, "wb") as fh:
         np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
 
@@ -217,8 +219,6 @@ def save_checkpoint(path: str, result: TrainResult,
 class Checkpoint:
     meta: dict
     params: Params
-    adam_m: Params
-    adam_v: Params
 
     @property
     def agent(self) -> str:
@@ -236,457 +236,441 @@ class Checkpoint:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
+    """Read and check a checkpoint; any defect raises CheckpointError.
+
+    Arrays other than the "p:" parameters are ignored, so archives that
+    also carry optimizer moments still load.
+    """
     try:
-        archive = np.load(path, allow_pickle=False)
+        with np.load(path, allow_pickle=False) as archive:
+            if "meta" not in archive:
+                raise CheckpointError("not a checkpoint: missing meta block")
+            meta = json.loads(str(archive["meta"][()]))
+            params = {key[2:]: archive[key] for key in archive.files
+                      if key.startswith("p:")}
     except (OSError, ValueError) as exc:
         raise CheckpointError(f"cannot read checkpoint '{path}': {exc}") \
             from exc
-    with archive:
-        if "meta" not in archive:
-            raise CheckpointError("not a checkpoint: missing meta block")
-        meta = json.loads(str(archive["meta"][()]))
-        version = meta.get("format_version")
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint version {version!r}; "
-                f"this build reads version {CHECKPOINT_VERSION}")
-        params, adam_m, adam_v = {}, {}, {}
-        for key in archive.files:
-            if key.startswith("p:"):
-                params[key[2:]] = archive[key]
-            elif key.startswith("m:"):
-                adam_m[key[2:]] = archive[key]
-            elif key.startswith("v:"):
-                adam_v[key[2:]] = archive[key]
-    return Checkpoint(meta=meta, params=params, adam_m=adam_m, adam_v=adam_v)
+    if not isinstance(meta, dict):
+        raise CheckpointError("checkpoint metadata is not a JSON object")
+    version = meta.get("format_version")
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"unsupported checkpoint version {version!r}; "
+            f"this build reads version {CHECKPOINT_VERSION}")
+    missing = [key for key in _META_KEYS if key not in meta]
+    if missing:
+        raise CheckpointError(
+            f"checkpoint metadata lacks {', '.join(missing)}")
+    if meta["agent"] not in ("drrn", "tdqn"):
+        raise CheckpointError(f"unknown checkpoint agent {meta['agent']!r}")
+    checkpoint = Checkpoint(meta=meta, params=params)
+    try:
+        checkpoint.train_config()
+        model_cfg = checkpoint.model_config()
+        vocab = checkpoint.build_tokenizer().vocab_size
+        expected = _init_params(meta["agent"], np.random.default_rng(0),
+                                model_cfg, len(meta["templates"]),
+                                len(meta["words"]))
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed checkpoint metadata: {exc}") \
+            from exc
+    if vocab != model_cfg.vocab_size or \
+            {k: (v.shape, v.dtype) for k, v in params.items()} != \
+            {k: (v.shape, v.dtype) for k, v in expected.items()}:
+        raise CheckpointError("checkpoint parameters do not match its "
+                              "model_config and tokenizer")
+    return checkpoint
 
 
-# -- shared helpers ----------------------------------------------------------------
+def result_from_checkpoint(game: GameDef, checkpoint: Checkpoint
+                           ) -> TrainResult:
+    """Rebuild enough of a TrainResult to evaluate a stored policy on game.
+
+    A template agent's heads index its game's templates and words, so a
+    checkpoint whose lists differ from game's is rejected.
+    """
+    meta = checkpoint.meta
+    templates, words = tuple(meta["templates"]), tuple(meta["words"])
+    if checkpoint.agent == "tdqn" and (
+            templates != tuple(t.surface for t in game.templates())
+            or words != game.vocabulary().words):
+        raise CheckpointError(f"this tdqn checkpoint was trained on another "
+                              f"game; its templates and words do not match "
+                              f"'{game.title}'")
+    return TrainResult(agent=checkpoint.agent,
+                       config=checkpoint.train_config(),
+                       model_config=checkpoint.model_config(),
+                       params=checkpoint.params,
+                       tokenizer=checkpoint.build_tokenizer(),
+                       episodes=[], env_steps=meta["env_steps"],
+                       updates=meta["updates"], wall_seconds=0.0,
+                       reached_step=None, templates=templates, words=words)
 
 
-def _encode_obs(tokenizer: Tokenizer, env: Environment) -> TokenChannels:
-    return tokenizer.encode_channels(env.observation().channels())
+# -- the episode loop --------------------------------------------------------------
 
 
 def _env_seed(rng: SplitMix64) -> int:
     return rng.randrange(2 ** 31)
 
 
-class _RunClock:
-    def __init__(self, limit: float | None) -> None:
-        self.start = time.monotonic()
-        self.limit = limit
+def _rollout(agent: "_Agent", cfg: TrainConfig, seed_rng: SplitMix64,
+             max_env_steps: int | None = None, episodes: int | None = None,
+             target: float | None = None, deadline: float | None = None
+             ) -> tuple[list[EpisodeRecord], int, int | None]:
+    """Run agent.envs under the episode protocol until a budget is spent.
 
-    @property
-    def elapsed(self) -> float:
-        return time.monotonic() - self.start
-
-    @property
-    def expired(self) -> bool:
-        return self.limit is not None and self.elapsed >= self.limit
-
-
-class _EpisodeTracker:
-    """Rolling-window bookkeeping shared by all trainers."""
-
-    def __init__(self, cfg: TrainConfig) -> None:
-        self.cfg = cfg
-        self.records: list[EpisodeRecord] = []
-        self.window: deque[int] = deque(maxlen=cfg.rolling_window)
-        self.reached_step: int | None = None
-
-    def finish(self, env_steps: int, ret: int, score: int,
-               moves: int) -> None:
-        self.records.append(EpisodeRecord(
-            index=len(self.records) + 1, env_steps=env_steps, ret=ret,
-            score=score, moves=moves))
-        self.window.append(score)
-
-    def target_met(self) -> bool:
-        target = self.cfg.early_stop_score
-        if target is None or len(self.window) < self.cfg.rolling_window:
-            return False
-        return float(np.mean(self.window)) >= target
-
-
-# -- random agent ------------------------------------------------------------------
-
-
-def run_random(game: GameDef, seed: int, episodes: int = 1,
-               step_cap: int = EPISODE_STEP_CAP,
-               max_env_steps: int | None = None) -> list[EpisodeRecord]:
-    """Uniform canonical-command rollouts; the benchmark floor."""
-    rng = SplitMix64(seed)
-    env = Environment(game, RANDOM_HANDICAPS)
+    The budgets are env steps, recorded episodes, a time.monotonic()
+    deadline checked before each round, and the early-stop target: the
+    mean score of the last `rolling_window` episodes reaching `target`.
+    Returns the records, the env steps taken, and the step count at which
+    the target was met (or None).
+    """
+    envs = agent.envs
     records: list[EpisodeRecord] = []
-    env_steps = 0
-    for index in range(1, episodes + 1):
-        env.reset(seed=_env_seed(rng))
-        ret = 0
-        issues = 0
-        while not env.done and env.moves < step_cap:
-            action = CANONICAL_ACTIONS[rng.randrange(len(CANONICAL_ACTIONS))]
-            result = env.step(action)
-            ret += result.reward
-            env_steps += 1
-            issues += 1
-            if issues >= step_cap * 50:
-                break
-            if max_env_steps is not None and env_steps >= max_env_steps:
-                break
-        records.append(EpisodeRecord(index=index, env_steps=env_steps,
-                                     ret=ret, score=env.score,
-                                     moves=env.moves))
-        if max_env_steps is not None and env_steps >= max_env_steps:
-            break
-    return records
+    steps = 0
+    reached = None
+    ret = [0] * len(envs)
+    issues = [0] * len(envs)
 
+    def budget_left() -> bool:
+        return ((max_env_steps is None or steps < max_env_steps)
+                and (episodes is None or len(records) < episodes)
+                and reached is None)
 
-def train_random(game: GameDef, cfg: TrainConfig, seed: int) -> TrainResult:
-    """Rollout loop shaped like a training run so curves are comparable."""
-    clock = _RunClock(cfg.max_seconds)
-    tracker = _EpisodeTracker(cfg)
-    rng = SplitMix64(seed)
-    env = Environment(game, RANDOM_HANDICAPS)
-    env_steps = 0
-    while env_steps < cfg.max_env_steps and not clock.expired:
-        env.reset(seed=_env_seed(rng))
-        ret = 0
-        issues = 0
-        while not env.done and env.moves < cfg.step_cap:
-            action = CANONICAL_ACTIONS[rng.randrange(len(CANONICAL_ACTIONS))]
-            ret += env.step(action).reward
-            env_steps += 1
-            issues += 1
-            if issues >= cfg.max_episode_issues or \
-                    env_steps >= cfg.max_env_steps:
-                break
-        tracker.finish(env_steps, ret, env.score, env.moves)
-        if tracker.target_met():
-            tracker.reached_step = env_steps
-            break
-    return TrainResult(agent="random", config=cfg, model_config=None,
-                       params=None, tokenizer=None, episodes=tracker.records,
-                       env_steps=env_steps, updates=0,
-                       wall_seconds=clock.elapsed,
-                       reached_step=tracker.reached_step)
-
-
-# -- relevance agent ---------------------------------------------------------------
-
-
-@dataclass
-class _DrrnSlot:
-    env: Environment
-    obs: TokenChannels = field(default_factory=lambda: ([], [], [], []))
-    surfaces: tuple[str, ...] = ()
-    act_tokens: list[list[int]] = field(default_factory=list)
-    ret: int = 0
-
-
-def _drrn_refresh(slot: _DrrnSlot, tokenizer: Tokenizer) -> None:
-    """Point the slot at the current state's observation and action menu."""
-    slot.obs = _encode_obs(tokenizer, slot.env)
-    valid = slot.env.identify_valid_actions()
-    if len(valid) == 0 and not slot.env.done:
-        # Nothing provably changes the world here; fall back to the
-        # canonical commands so the policy always has a menu.
-        slot.surfaces = CANONICAL_ACTIONS
-    else:
-        slot.surfaces = valid.surfaces
-    slot.act_tokens = [tokenizer.encode(s) for s in slot.surfaces]
-
-
-def train_drrn(game: GameDef, cfg: TrainConfig, seed: int) -> TrainResult:
-    clock = _RunClock(cfg.max_seconds)
-    tracker = _EpisodeTracker(cfg)
-    master = SplitMix64(seed)
-    np_rng = np.random.default_rng(master.next_u64())
-    agent_rng = master.fork()
-    replay_rng = master.fork()
-    seed_rng = master.fork()
-
-    tokenizer = Tokenizer.from_game(game, cfg.max_len)
-    model_cfg = ModelConfig(vocab_size=tokenizer.vocab_size,
-                            embed_dim=cfg.embed_dim,
-                            hidden_dim=cfg.hidden_dim,
-                            q_hidden_dim=cfg.q_hidden_dim)
-    params = drrn_init(np_rng, model_cfg)
-    # target_sync=0 disables the frozen copy: bootstrap from live parameters
-    target = copy_params(params) if cfg.target_sync else params
-    opt = Adam(params, lr=cfg.lr)
-    replay = PrioritizedReplay(cfg.replay_capacity, cfg.replay_alpha,
-                               cfg.replay_eps)
-
-    shared_cache: dict = {}
-    slots = []
-    for _ in range(cfg.env_count):
-        env = Environment(game, FULL_HANDICAPS,
-                          valid_action_cache=shared_cache)
+    for i, env in enumerate(envs):
         env.reset(seed=_env_seed(seed_rng))
-        slot = _DrrnSlot(env=env)
-        _drrn_refresh(slot, tokenizer)
-        slots.append(slot)
-
-    env_steps = 0
-    updates = 0
-    stop = False
-    while env_steps < cfg.max_env_steps and not stop and not clock.expired:
-        q_lists = drrn_q_values(params, model_cfg,
-                                [s.obs for s in slots],
-                                [s.act_tokens for s in slots])
-        for slot, q in zip(slots, q_lists):
-            choice = softmax_select(q, cfg.tau, agent_rng)
-            result = slot.env.step(slot.surfaces[choice])
-            env_steps += 1
-            slot.ret += result.reward
-            prev_obs = slot.obs
-            prev_act = slot.act_tokens[choice]
-            _drrn_refresh(slot, tokenizer)
-            done = result.done
-            replay.add({
-                "obs": prev_obs,
-                "act": prev_act,
-                "reward": float(result.reward),
-                "next_obs": slot.obs,
-                "next_acts": [] if done else list(slot.act_tokens),
-                "done": done,
-            })
-            if done or result.moves >= cfg.step_cap:
-                tracker.finish(env_steps, slot.ret, slot.env.score,
-                               result.moves)
-                slot.env.reset(seed=_env_seed(seed_rng))
-                slot.ret = 0
-                _drrn_refresh(slot, tokenizer)
-                if tracker.target_met():
-                    tracker.reached_step = env_steps
-                    stop = True
-            if env_steps >= cfg.max_env_steps or stop:
+        agent.begin(i)
+    while budget_left() and not (deadline is not None and
+                                 time.monotonic() >= deadline):
+        for i, command in enumerate(agent.act(steps)):
+            result = envs[i].step(command)
+            steps += 1
+            ret[i] += result.reward
+            issues[i] += 1
+            agent.observe(i, result)
+            if result.done or result.moves >= cfg.step_cap or \
+                    issues[i] >= cfg.max_episode_issues:
+                records.append(EpisodeRecord(
+                    index=len(records) + 1, env_steps=steps, ret=ret[i],
+                    score=result.score, moves=result.moves))
+                ret[i] = issues[i] = 0
+                if target is not None and \
+                        len(records) >= cfg.rolling_window:
+                    tail = records[len(records) - cfg.rolling_window:]
+                    if np.mean([r.score for r in tail]) >= target:
+                        reached = steps
+                if budget_left():
+                    envs[i].reset(seed=_env_seed(seed_rng))
+                    agent.begin(i)
+            if not budget_left():
                 break
-        if len(replay) >= max(cfg.warmup, cfg.batch_size):
-            for _ in range(cfg.updates_per_round):
-                beta = linear_anneal(cfg.replay_beta0, 1.0, updates,
-                                     cfg.beta_anneal_updates)
-                items, indices, weights = replay.sample(cfg.batch_size, beta,
-                                                        replay_rng)
-                batch = [dict(item, weight=w)
-                         for item, w in zip(items, weights)]
-                _, grads, td_abs = drrn_loss(params, target, model_cfg,
-                                             batch, cfg.gamma)
-                opt.step(params, grads)
-                replay.update_priorities(indices, td_abs)
-                updates += 1
-                if cfg.target_sync and updates % cfg.target_sync == 0:
-                    target = copy_params(params)
-    return TrainResult(agent="drrn", config=cfg, model_config=model_cfg,
-                       params=params, tokenizer=tokenizer,
-                       episodes=tracker.records, env_steps=env_steps,
-                       updates=updates, wall_seconds=clock.elapsed,
-                       reached_step=tracker.reached_step,
-                       rng_states={"agent": agent_rng.state,
-                                   "replay": replay_rng.state,
-                                   "seed": seed_rng.state})
+        agent.update(steps)
+    return records, steps, reached
 
 
-# -- template agent ----------------------------------------------------------------
+# -- agents ------------------------------------------------------------------------
 
 
-def _tdqn_valid_sets(env: Environment, t_index: dict[str, int],
-                     w_index: dict[str, int]
-                     ) -> tuple[tuple[int, ...], tuple[int, ...],
-                                tuple[int, ...]]:
-    valid = env.identify_valid_actions()
-    t_ids, o1_ids, o2_ids = set(), set(), set()
-    for cand in valid:
-        t_ids.add(t_index[cand.template.surface])
-        if len(cand.fillers) >= 1 and cand.fillers[0] in w_index:
-            o1_ids.add(w_index[cand.fillers[0]])
-        if len(cand.fillers) >= 2 and cand.fillers[1] in w_index:
-            o2_ids.add(w_index[cand.fillers[1]])
-    return tuple(sorted(t_ids)), tuple(sorted(o1_ids)), tuple(sorted(o2_ids))
+class _Agent:
+    """What `_rollout` talks to; the defaults learn nothing.
 
+    begin(i) follows every reset of envs[i], act(steps) returns one command
+    per env, observe(i, result) follows each step, and update(steps) ends
+    each round.
+    """
 
-def _tdqn_pick(q_rows: tuple[np.ndarray, np.ndarray, np.ndarray],
-               templates: tuple[Template, ...], words: tuple[str, ...],
-               eps: float, rng: SplitMix64) -> tuple[tuple[int, int, int],
-                                                     str]:
-    q_t, q_o1, q_o2 = q_rows
-    t_idx = epsilon_greedy(q_t, eps, rng)
-    template = templates[t_idx]
-    w1_idx = w2_idx = -1
-    fillers: list[str] = []
-    if template.blanks >= 1:
-        w1_idx = epsilon_greedy(q_o1, eps, rng)
-        fillers.append(words[w1_idx])
-    if template.blanks >= 2:
-        w2_idx = epsilon_greedy(q_o2, eps, rng)
-        fillers.append(words[w2_idx])
-    return (t_idx, w1_idx, w2_idx), fill_template(template, *fillers).surface
-
-
-def train_tdqn(game: GameDef, cfg: TrainConfig, seed: int) -> TrainResult:
-    clock = _RunClock(cfg.max_seconds)
-    tracker = _EpisodeTracker(cfg)
-    master = SplitMix64(seed)
-    np_rng = np.random.default_rng(master.next_u64())
-    agent_rng = master.fork()
-    replay_rng = master.fork()
-    seed_rng = master.fork()
-
-    tokenizer = Tokenizer.from_game(game, cfg.max_len)
-    templates = game.templates()
-    words = game.vocabulary().words
-    t_index = {tpl.surface: i for i, tpl in enumerate(templates)}
-    w_index = {w: i for i, w in enumerate(words)}
-    model_cfg = ModelConfig(vocab_size=tokenizer.vocab_size,
-                            embed_dim=cfg.embed_dim,
-                            hidden_dim=cfg.hidden_dim,
-                            q_hidden_dim=cfg.q_hidden_dim)
-    params = tdqn_init(np_rng, model_cfg, len(templates), len(words))
-    target = copy_params(params) if cfg.target_sync else params
-    opt = Adam(params, lr=cfg.lr)
-    replay = PrioritizedReplay(cfg.replay_capacity, cfg.replay_alpha,
-                               cfg.replay_eps)
-
-    env = Environment(game, FULL_HANDICAPS)
-    env.reset(seed=_env_seed(seed_rng))
-    obs = _encode_obs(tokenizer, env)
-    valid_sets = _tdqn_valid_sets(env, t_index, w_index)
-    ret = 0
-    issues = 0
-
-    env_steps = 0
+    envs: list[Environment]
+    model_cfg: ModelConfig | None = None
+    params: Params | None = None
+    tokenizer: Tokenizer | None = None
     updates = 0
-    stop = False
-    while env_steps < cfg.max_env_steps and not stop and not clock.expired:
-        q_t, q_o1, q_o2, _ = tdqn_forward(params, model_cfg, [obs])
-        eps = linear_anneal(cfg.eps_start, cfg.eps_end, env_steps,
-                            cfg.eps_decay_steps)
-        taken, surface = _tdqn_pick((q_t[0], q_o1[0], q_o2[0]), templates,
-                                    words, eps, agent_rng)
-        result = env.step(surface)
-        env_steps += 1
-        issues += 1
-        ret += result.reward
-        next_obs = _encode_obs(tokenizer, env)
-        replay.add({
-            "obs": obs,
-            "taken": taken,
-            "reward": float(result.reward),
-            "next_obs": next_obs,
-            "done": result.done,
-            "valid_t": valid_sets[0],
-            "valid_o1": valid_sets[1],
-            "valid_o2": valid_sets[2],
-        })
-        if result.done or result.moves >= cfg.step_cap or \
-                issues >= cfg.max_episode_issues:
-            tracker.finish(env_steps, ret, env.score, result.moves)
-            env.reset(seed=_env_seed(seed_rng))
-            obs = _encode_obs(tokenizer, env)
-            valid_sets = _tdqn_valid_sets(env, t_index, w_index)
-            ret = 0
-            issues = 0
-            if tracker.target_met():
-                tracker.reached_step = env_steps
-                stop = True
-        else:
-            obs = next_obs
-            valid_sets = _tdqn_valid_sets(env, t_index, w_index)
-        if len(replay) >= max(cfg.warmup, cfg.batch_size) and \
-                env_steps % cfg.update_every == 0:
-            beta = linear_anneal(cfg.replay_beta0, 1.0, updates,
+    templates: tuple[str, ...] = ()
+    words: tuple[str, ...] = ()
+
+    def begin(self, i: int) -> None:
+        pass
+
+    def act(self, steps: int) -> list[str]:
+        raise NotImplementedError
+
+    def observe(self, i: int, result: StepResult) -> None:
+        pass
+
+    def update(self, steps: int) -> None:
+        pass
+
+
+class _RandomAgent(_Agent):
+    """Uniform canonical commands with no handicaps: the benchmark floor."""
+
+    def __init__(self, game: GameDef, rng: SplitMix64) -> None:
+        self.envs = [Environment(game, RANDOM_HANDICAPS)]
+        self.rng = rng
+
+    def act(self, steps: int) -> list[str]:
+        return [CANONICAL_ACTIONS[self.rng.randrange(len(CANONICAL_ACTIONS))]
+                for _ in self.envs]
+
+
+class _Learner(_Agent):
+    """A value network with, while training, replay, Adam and a target copy.
+
+    Passing no replay_rng builds the evaluation form: no replay, no
+    updates, and the greedy selection rule of the subclass.
+    """
+
+    def __init__(self, game: GameDef, cfg: TrainConfig, tokenizer: Tokenizer,
+                 model_cfg: ModelConfig, params: Params, rng: SplitMix64,
+                 replay_rng: SplitMix64 | None = None) -> None:
+        self.cfg = cfg
+        self.tokenizer = tokenizer
+        self.model_cfg = model_cfg
+        self.params = params
+        self.rng = rng
+        self.replay_rng = replay_rng
+        self.replay = None
+        if replay_rng is not None:
+            # target_sync=0 disables the frozen copy: bootstrap from live
+            # parameters
+            self.target = copy_params(params) if cfg.target_sync else params
+            self.opt = Adam(params, lr=cfg.lr)
+            self.replay = PrioritizedReplay(cfg.replay_capacity,
+                                            cfg.replay_alpha, cfg.replay_eps)
+        self._setup(game)
+        self.obs: list = [None] * len(self.envs)
+
+    def _setup(self, game: GameDef) -> None:
+        raise NotImplementedError
+
+    def _encode(self, env: Environment) -> TokenChannels:
+        return self.tokenizer.encode_channels(env.observation().channels())
+
+    def _updates_due(self, steps: int) -> int:
+        raise NotImplementedError
+
+    def _loss(self, batch: list[dict]) -> tuple[Params, np.ndarray]:
+        raise NotImplementedError
+
+    def update(self, steps: int) -> None:
+        cfg = self.cfg
+        if self.replay is None or \
+                len(self.replay) < max(cfg.warmup, cfg.batch_size):
+            return
+        for _ in range(self._updates_due(steps)):
+            beta = linear_anneal(cfg.replay_beta0, 1.0, self.updates,
                                  cfg.beta_anneal_updates)
-            items, indices, weights = replay.sample(cfg.batch_size, beta,
-                                                    replay_rng)
-            batch = [dict(item, weight=w) for item, w in zip(items, weights)]
-            _, _, _, grads, td_abs = tdqn_loss(params, target, model_cfg,
-                                               batch, cfg.gamma,
-                                               cfg.lambda_mix)
-            opt.step(params, grads)
-            replay.update_priorities(indices, td_abs)
-            updates += 1
-            if cfg.target_sync and updates % cfg.target_sync == 0:
-                target = copy_params(params)
-    return TrainResult(agent="tdqn", config=cfg, model_config=model_cfg,
-                       params=params, tokenizer=tokenizer,
-                       episodes=tracker.records, env_steps=env_steps,
-                       updates=updates, wall_seconds=clock.elapsed,
-                       reached_step=tracker.reached_step,
-                       templates=tuple(t.surface for t in templates),
-                       words=words,
-                       rng_states={"agent": agent_rng.state,
-                                   "replay": replay_rng.state,
-                                   "seed": seed_rng.state})
+            items, indices, weights = self.replay.sample(
+                cfg.batch_size, beta, self.replay_rng)
+            grads, td_abs = self._loss([dict(item, weight=w)
+                                        for item, w in zip(items, weights)])
+            self.opt.step(self.params, grads)
+            self.replay.update_priorities(indices, td_abs)
+            self.updates += 1
+            if cfg.target_sync and self.updates % cfg.target_sync == 0:
+                self.target = copy_params(self.params)
+
+
+class _DrrnAgent(_Learner):
+    """Relevance agent: scores each detected valid action with the state."""
+
+    def _setup(self, game: GameDef) -> None:
+        count = self.cfg.env_count if self.replay is not None else 1
+        shared_cache: dict = {}
+        self.envs = [Environment(game, FULL_HANDICAPS,
+                                 valid_action_cache=shared_cache)
+                     for _ in range(count)]
+        self.surfaces: list = [None] * count
+        self.act_tokens: list = [None] * count
+        self.choices: list[int] = []
+
+    def begin(self, i: int) -> None:
+        """Point env i's slot at its observation and action menu."""
+        env = self.envs[i]
+        self.obs[i] = self._encode(env)
+        valid = env.identify_valid_actions()
+        if len(valid) == 0 and not env.done:
+            # Nothing provably changes the world here; fall back to the
+            # canonical commands so the policy always has a menu.
+            self.surfaces[i] = CANONICAL_ACTIONS
+        else:
+            self.surfaces[i] = valid.surfaces
+        self.act_tokens[i] = [self.tokenizer.encode(s)
+                              for s in self.surfaces[i]]
+
+    def act(self, steps: int) -> list[str]:
+        q_lists = drrn_q_values(self.params, self.model_cfg, self.obs,
+                                self.act_tokens)
+        if self.replay is not None:
+            self.choices = [softmax_select(q, self.cfg.tau, self.rng)
+                            for q in q_lists]
+        else:
+            self.choices = [argmax_tie_break(q, self.rng) for q in q_lists]
+        return [menu[c] for menu, c in zip(self.surfaces, self.choices)]
+
+    def observe(self, i: int, result: StepResult) -> None:
+        obs, act = self.obs[i], self.act_tokens[i][self.choices[i]]
+        self.begin(i)
+        if self.replay is not None:
+            self.replay.add({
+                "obs": obs,
+                "act": act,
+                "reward": float(result.reward),
+                "next_obs": self.obs[i],
+                "next_acts": [] if result.done else list(self.act_tokens[i]),
+                "done": result.done,
+            })
+
+    def _updates_due(self, steps: int) -> int:
+        return self.cfg.updates_per_round
+
+    def _loss(self, batch: list[dict]) -> tuple[Params, np.ndarray]:
+        _, grads, td_abs = drrn_loss(self.params, self.target,
+                                     self.model_cfg, batch, self.cfg.gamma)
+        return grads, td_abs
+
+
+class _TdqnAgent(_Learner):
+    """Template agent: one head for the template, one per blank's word."""
+
+    def _setup(self, game: GameDef) -> None:
+        self.envs = [Environment(game, FULL_HANDICAPS)]
+        self.template_defs = game.templates()
+        self.templates = tuple(t.surface for t in self.template_defs)
+        self.words = game.vocabulary().words
+        self.t_index = {s: i for i, s in enumerate(self.templates)}
+        self.w_index = {w: i for i, w in enumerate(self.words)}
+        self.taken: list[tuple[int, int, int]] = []
+        self.valid_ids: list[tuple[tuple[int, ...], ...]] = []
+
+    def _valid_ids(self, env: Environment) -> tuple[tuple[int, ...], ...]:
+        """Template and word ids of the detected valid actions, per head."""
+        heads: tuple[set, set, set] = (set(), set(), set())
+        for cand in env.identify_valid_actions():
+            heads[0].add(self.t_index[cand.template.surface])
+            for ids, filler in zip(heads[1:], cand.fillers):
+                if filler in self.w_index:
+                    ids.add(self.w_index[filler])
+        return tuple(tuple(sorted(ids)) for ids in heads)
+
+    def begin(self, i: int) -> None:
+        self.obs[i] = self._encode(self.envs[i])
+
+    def act(self, steps: int) -> list[str]:
+        cfg = self.cfg
+        eps = cfg.eps_end
+        if self.replay is not None:
+            eps = linear_anneal(cfg.eps_start, cfg.eps_end, steps,
+                                cfg.eps_decay_steps)
+            self.valid_ids = [self._valid_ids(env) for env in self.envs]
+        q_t, q_o1, q_o2, _ = tdqn_forward(self.params, self.model_cfg,
+                                          self.obs)
+        self.taken, commands = [], []
+        for k in range(len(self.envs)):
+            t = epsilon_greedy(q_t[k], eps, self.rng)
+            template = self.template_defs[t]
+            fills = [epsilon_greedy(q[k], eps, self.rng)
+                     for q in (q_o1, q_o2)[:template.blanks]]
+            # a blank the template lacks is recorded as word -1
+            self.taken.append((t, *fills, *[-1] * (2 - len(fills))))
+            commands.append(fill_template(
+                template, *(self.words[w] for w in fills)).surface)
+        return commands
+
+    def observe(self, i: int, result: StepResult) -> None:
+        obs = self.obs[i]
+        self.begin(i)
+        if self.replay is not None:
+            valid_t, valid_o1, valid_o2 = self.valid_ids[i]
+            self.replay.add({
+                "obs": obs,
+                "taken": self.taken[i],
+                "reward": float(result.reward),
+                "next_obs": self.obs[i],
+                "done": result.done,
+                "valid_t": valid_t,
+                "valid_o1": valid_o1,
+                "valid_o2": valid_o2,
+            })
+
+    def _updates_due(self, steps: int) -> int:
+        return int(steps % self.cfg.update_every == 0)
+
+    def _loss(self, batch: list[dict]) -> tuple[Params, np.ndarray]:
+        _, _, _, grads, td_abs = tdqn_loss(self.params, self.target,
+                                           self.model_cfg, batch,
+                                           self.cfg.gamma, self.cfg.lambda_mix)
+        return grads, td_abs
+
+
+_LEARNERS = {"drrn": _DrrnAgent, "tdqn": _TdqnAgent}
+
+
+def _init_params(agent: str, rng: np.random.Generator, model_cfg: ModelConfig,
+                 n_templates: int, n_words: int) -> Params:
+    if agent == "drrn":
+        return drrn_init(rng, model_cfg)
+    return tdqn_init(rng, model_cfg, n_templates, n_words)
+
+
+# -- entry points ------------------------------------------------------------------
 
 
 def train(game: GameDef, cfg: TrainConfig, seed: int) -> TrainResult:
-    if cfg.agent == "drrn":
-        return train_drrn(game, cfg, seed)
-    if cfg.agent == "tdqn":
-        return train_tdqn(game, cfg, seed)
+    if cfg.agent not in AGENT_KINDS:
+        raise ValueError(f"unknown agent '{cfg.agent}'; "
+                         f"expected one of {AGENT_KINDS}")
+    start = time.monotonic()
+    deadline = None if cfg.max_seconds is None else start + cfg.max_seconds
+    master = SplitMix64(seed)
     if cfg.agent == "random":
-        return train_random(game, cfg, seed)
-    raise ValueError(f"unknown agent '{cfg.agent}'; "
-                     f"expected one of {AGENT_KINDS}")
+        agent, seed_rng = _RandomAgent(game, master), master
+    else:
+        np_rng = np.random.default_rng(master.next_u64())
+        agent_rng, replay_rng, seed_rng = \
+            master.fork(), master.fork(), master.fork()
+        tokenizer = Tokenizer.from_game(game, cfg.max_len)
+        model_cfg = ModelConfig(vocab_size=tokenizer.vocab_size,
+                                embed_dim=cfg.embed_dim,
+                                hidden_dim=cfg.hidden_dim,
+                                q_hidden_dim=cfg.q_hidden_dim)
+        params = _init_params(cfg.agent, np_rng, model_cfg,
+                              len(game.templates()),
+                              len(game.vocabulary().words))
+        agent = _LEARNERS[cfg.agent](game, cfg, tokenizer, model_cfg, params,
+                                     agent_rng, replay_rng)
+    records, steps, reached = _rollout(
+        agent, cfg, seed_rng, max_env_steps=cfg.max_env_steps,
+        target=cfg.early_stop_score, deadline=deadline)
+    return TrainResult(agent=cfg.agent, config=cfg,
+                       model_config=agent.model_cfg, params=agent.params,
+                       tokenizer=agent.tokenizer, episodes=records,
+                       env_steps=steps, updates=agent.updates,
+                       wall_seconds=time.monotonic() - start,
+                       reached_step=reached,
+                       templates=agent.templates, words=agent.words)
 
 
-# -- evaluation --------------------------------------------------------------------
+def run_random(game: GameDef, seed: int, episodes: int = 1,
+               step_cap: int = EPISODE_STEP_CAP) -> list[EpisodeRecord]:
+    """Uniform canonical-command rollouts; the benchmark floor."""
+    rng = SplitMix64(seed)
+    cfg = TrainConfig(agent="random", step_cap=step_cap)
+    return _rollout(_RandomAgent(game, rng), cfg, rng, episodes=episodes)[0]
 
 
 def evaluate(game: GameDef, result: TrainResult, seed: int,
              episodes: int = 10) -> list[EpisodeRecord]:
-    """Greedy rollouts of a trained policy (epsilon-greedy for tdqn)."""
-    cfg = result.config
+    """Greedy rollouts of a trained policy (epsilon-greedy for tdqn).
+
+    Always plays all `episodes`: evaluation never stops early.
+    """
     rng = SplitMix64(seed)
-    records: list[EpisodeRecord] = []
     if result.agent == "random":
-        return run_random(game, seed, episodes=episodes,
-                          step_cap=cfg.step_cap)
-    env = Environment(game, FULL_HANDICAPS)
-    env_steps = 0
-    for index in range(1, episodes + 1):
-        env.reset(seed=_env_seed(rng))
-        ret = 0
-        issues = 0
-        while not env.done and env.moves < cfg.step_cap:
-            obs = _encode_obs(result.tokenizer, env)
-            if result.agent == "drrn":
-                valid = env.identify_valid_actions()
-                surfaces = valid.surfaces if len(valid) else CANONICAL_ACTIONS
-                tokens = [result.tokenizer.encode(s) for s in surfaces]
-                q = drrn_q_values(result.params, result.model_config,
-                                  [obs], [tokens])[0]
-                surface = surfaces[argmax_tie_break(q, rng)]
-            else:
-                templates = game.templates()
-                words = game.vocabulary().words
-                q_t, q_o1, q_o2, _ = tdqn_forward(result.params,
-                                                  result.model_config, [obs])
-                _, surface = _tdqn_pick((q_t[0], q_o1[0], q_o2[0]),
-                                        templates, words, cfg.eps_end, rng)
-            step = env.step(surface)
-            ret += step.reward
-            env_steps += 1
-            issues += 1
-            if issues >= cfg.max_episode_issues:
-                break
-        records.append(EpisodeRecord(index=index, env_steps=env_steps,
-                                     ret=ret, score=env.score,
-                                     moves=env.moves))
-    return records
-
-
-def result_from_checkpoint(game: GameDef, checkpoint: Checkpoint
-                           ) -> TrainResult:
-    """Rebuild enough of a TrainResult to evaluate a stored policy."""
-    cfg = checkpoint.train_config()
-    return TrainResult(agent=checkpoint.agent, config=cfg,
-                       model_config=checkpoint.model_config(),
-                       params=checkpoint.params,
-                       tokenizer=checkpoint.build_tokenizer(),
-                       episodes=[], env_steps=checkpoint.meta["env_steps"],
-                       updates=checkpoint.meta["updates"], wall_seconds=0.0,
-                       reached_step=None,
-                       templates=tuple(checkpoint.meta["templates"]),
-                       words=tuple(checkpoint.meta["words"]))
+        agent = _RandomAgent(game, rng)
+    else:
+        agent = _LEARNERS[result.agent](game, result.config, result.tokenizer,
+                                        result.model_config, result.params,
+                                        rng)
+    return _rollout(agent, result.config, rng, episodes=episodes)[0]

@@ -212,9 +212,9 @@ def _cmd_eval(args) -> int:
     game = _load_any_game(args.game)
     try:
         checkpoint = load_checkpoint(args.checkpoint)
+        result = result_from_checkpoint(game, checkpoint)
     except CheckpointError as exc:
         raise _InputError(str(exc)) from exc
-    result = result_from_checkpoint(game, checkpoint)
     seed = _pick_seed(args)
     records = evaluate(game, result, seed=seed, episodes=args.episodes)
     scores = [r.score for r in records]

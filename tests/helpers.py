@@ -2,6 +2,8 @@
 the per-gate GRU that the fused one in textquest.agents.nn is checked
 against."""
 
+import json
+
 import numpy as np
 
 from textquest.agents.models import ModelConfig
@@ -168,3 +170,22 @@ def reference_gru_backward(params, cache, dh):
         dx_all[:, t, :] = dx
         dh = dh_prev
     return grads, dx_all
+
+
+def rewrite_checkpoint(src, dst, edit=None, arrays=None, drop=()):
+    """Copy a checkpoint .npz, letting edit(meta) change the metadata.
+
+    edit may mutate meta in place or return a replacement (any JSON value,
+    or a str written verbatim). arrays are added and drop names removed.
+    """
+    with np.load(str(src), allow_pickle=False) as archive:
+        blobs = {k: archive[k] for k in archive.files if k not in drop}
+    meta = json.loads(str(blobs["meta"][()]))
+    if edit is not None:
+        replaced = edit(meta)
+        meta = meta if replaced is None else replaced
+    text = meta if isinstance(meta, str) else json.dumps(meta)
+    blobs["meta"] = np.array(text)
+    blobs.update(arrays or {})
+    with open(str(dst), "wb") as fh:
+        np.savez(fh, **blobs)

@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 from conftest import tinybox_dict
+from helpers import rewrite_checkpoint
+from textquest.agents.training import TrainConfig, save_checkpoint, train
 from textquest.cli import FAILURE, INPUT_ERROR, OK, main
+from textquest.gamedefs import parse_game
 
 DRRN_SETTINGS = ["--set", "runs=1", "--set", "max_env_steps=150",
                  "--set", "warmup=16", "--set", "batch_size=8",
@@ -117,6 +120,49 @@ def test_eval_rejects_version_mismatch(tinybox_path, tmp_path, capsys):
     assert main(["eval", tinybox_path, "--checkpoint", str(stale),
                  "--seed", "1"]) == INPUT_ERROR
     assert "unsupported checkpoint version" in capsys.readouterr().err
+
+
+def _saved_checkpoint(tmp_path, agent):
+    cfg = TrainConfig(agent=agent, embed_dim=4, hidden_dim=4, q_hidden_dim=4,
+                      max_len=8, env_count=2, max_env_steps=10)
+    path = tmp_path / f"{agent}.npz"
+    save_checkpoint(str(path), train(parse_game(tinybox_dict()), cfg, seed=1))
+    return path
+
+
+def _drop(key):
+    def edit(meta):
+        del meta[key]
+    return edit
+
+
+@pytest.mark.parametrize("edit, drop", [
+    (lambda meta: "{not json", ()),
+    (lambda meta: [1, 2], ()),
+    (_drop("agent"), ()),
+    (_drop("model_config"), ()),
+    (lambda meta: meta["train_config"].update(zork=1), ()),
+    (lambda meta: meta["model_config"].update(zork=1), ()),
+    (lambda meta: meta.update(agent="bogus"), ()),
+    (None, ("p:embed",)),
+], ids=["not-json", "json-list", "no-agent", "no-model-config",
+        "unknown-train-field", "unknown-model-field", "bogus-agent",
+        "no-embed-array"])
+def test_eval_rejects_malformed_checkpoint_metadata(tinybox_path, tmp_path,
+                                                    capsys, edit, drop):
+    bad = tmp_path / "bad.npz"
+    rewrite_checkpoint(_saved_checkpoint(tmp_path, "drrn"), bad, edit,
+                       drop=drop)
+    assert main(["eval", tinybox_path, "--checkpoint", str(bad),
+                 "--seed", "1"]) == INPUT_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_eval_rejects_tdqn_checkpoint_from_another_game(tmp_path, capsys):
+    path = _saved_checkpoint(tmp_path, "tdqn")
+    assert main(["eval", "mailhouse", "--checkpoint", str(path),
+                 "--seed", "1"]) == INPUT_ERROR
+    assert "trained on another game" in capsys.readouterr().err
 
 
 def test_train_rejects_malformed_config(tinybox_path, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Training harness: configs, curves, checkpoints, and the three trainers."""
+"""Training harness: configs, curves, checkpoints, and the episode loop."""
 
 import dataclasses
 import json
@@ -6,14 +6,16 @@ import json
 import numpy as np
 import pytest
 
-from textquest.agents.nn import Adam
+from helpers import rewrite_checkpoint
+from textquest import load_bundled
 from textquest.agents.training import (CANONICAL_ACTIONS, CHECKPOINT_VERSION,
                                        Checkpoint, CheckpointError,
                                        EpisodeRecord, TrainConfig,
                                        TrainResult, evaluate, load_checkpoint,
                                        result_from_checkpoint, run_random,
-                                       save_checkpoint, train, train_random,
+                                       save_checkpoint, train,
                                        write_learning_curve)
+from textquest.env import Environment
 
 
 def tiny_cfg(**overrides) -> TrainConfig:
@@ -142,9 +144,10 @@ def test_run_random_episode_accounting(tinybox):
 
 
 def test_run_random_stops_at_max_env_steps(tinybox):
-    records = run_random(tinybox, seed=3, episodes=50, max_env_steps=5)
-    assert records[-1].env_steps == 5
-    assert len(records) < 50
+    result = train(tinybox, tiny_cfg(agent="random", max_env_steps=5), seed=3)
+    assert result.env_steps == 5
+    # no episode ends within five steps, and unfinished ones are not recorded
+    assert result.episodes == []
 
 
 def test_run_random_respects_step_cap(tinybox):
@@ -155,28 +158,46 @@ def test_run_random_respects_step_cap(tinybox):
 
 
 def test_train_random_result_shape(tinybox):
-    cfg = tiny_cfg(agent="random", max_env_steps=400)
-    result = train_random(tinybox, cfg, seed=1)
+    cfg = tiny_cfg(agent="random", max_env_steps=1200)
+    result = train(tinybox, cfg, seed=1)
     assert result.agent == "random"
     assert result.params is None and result.tokenizer is None
     assert result.updates == 0
     assert result.env_steps <= cfg.max_env_steps
     assert result.episodes
-    again = train_random(tinybox, cfg, seed=1)
+    again = train(tinybox, cfg, seed=1)
     assert again.curve_text() == result.curve_text()
 
 
 def test_train_random_early_stop(tinybox):
     cfg = tiny_cfg(agent="random", rolling_window=3, early_stop_score=0.0,
                    max_env_steps=10_000)
-    result = train_random(tinybox, cfg, seed=2)
+    result = train(tinybox, cfg, seed=2)
     # every score is >= 0, so the target is met as soon as the window fills
     assert len(result.episodes) == 3
     assert result.reached_step == result.episodes[-1].env_steps
 
 
+@pytest.mark.parametrize("agent", ["random", "drrn"])
+def test_train_stops_when_time_is_up(tinybox, agent):
+    cfg = tiny_cfg(agent=agent, max_seconds=0.0, max_env_steps=10_000)
+    result = train(tinybox, cfg, seed=1)
+    assert result.env_steps == 0 and result.episodes == []
+
+
+@pytest.mark.parametrize("agent", ["drrn", "tdqn"])
+def test_learners_stop_at_the_target(tinybox, agent):
+    cfg = tiny_cfg(agent=agent, rolling_window=3, early_stop_score=0.0,
+                   max_env_steps=10_000)
+    result = train(tinybox, cfg, seed=2)
+    # the round stops at the step that met the target
+    assert len(result.episodes) == 3
+    assert result.reached_step == result.episodes[-1].env_steps == \
+        result.env_steps
+
+
 def test_random_agent_has_no_checkpoint(tinybox, tmp_path):
-    result = train_random(tinybox, tiny_cfg(agent="random"), seed=1)
+    result = train(tinybox, tiny_cfg(agent="random"), seed=1)
     with pytest.raises(CheckpointError, match="no parameters"):
         save_checkpoint(str(tmp_path / "x.npz"), result)
 
@@ -187,12 +208,6 @@ def test_random_agent_has_no_checkpoint(tinybox, tmp_path):
 def test_train_dispatch_unknown_agent(tinybox):
     with pytest.raises(ValueError, match="unknown agent 'bogus'"):
         train(tinybox, tiny_cfg(agent="bogus"), seed=1)
-
-
-def test_train_dispatch_random(tinybox):
-    cfg = tiny_cfg(agent="random", max_env_steps=120)
-    assert train(tinybox, cfg, seed=4).curve_text() == \
-        train_random(tinybox, cfg, seed=4).curve_text()
 
 
 # -- the learning agents, kept tiny ------------------------------------------------
@@ -245,8 +260,7 @@ def test_train_tdqn_smoke(tinybox_module):
 
 def test_checkpoint_round_trip(tinybox_module, drrn_result, tmp_path):
     path = tmp_path / "ckpt.npz"
-    opt = Adam(drrn_result.params, lr=drrn_result.config.lr)
-    save_checkpoint(str(path), drrn_result, adam=opt)
+    save_checkpoint(str(path), drrn_result)
     ckpt = load_checkpoint(str(path))
     assert isinstance(ckpt, Checkpoint)
     assert ckpt.agent == "drrn"
@@ -260,10 +274,6 @@ def test_checkpoint_round_trip(tinybox_module, drrn_result, tmp_path):
     assert set(ckpt.params) == set(drrn_result.params)
     for key, value in ckpt.params.items():
         assert np.array_equal(value, drrn_result.params[key]), key
-    # the fresh optimizer state rides along: zeroed moments, t=0
-    assert ckpt.meta["adam"]["t"] == 0
-    assert set(ckpt.adam_m) == set(drrn_result.params)
-    assert all(not arr.any() for arr in ckpt.adam_m.values())
     tok = ckpt.build_tokenizer()
     assert tok.encode("open box") == drrn_result.tokenizer.encode("open box")
 
@@ -271,14 +281,9 @@ def test_checkpoint_round_trip(tinybox_module, drrn_result, tmp_path):
 def test_checkpoint_version_mismatch(drrn_result, tmp_path):
     path = tmp_path / "ckpt.npz"
     save_checkpoint(str(path), drrn_result)
-    with np.load(str(path), allow_pickle=False) as archive:
-        blobs = {k: archive[k] for k in archive.files}
-    meta = json.loads(str(blobs["meta"][()]))
-    meta["format_version"] = CHECKPOINT_VERSION + 1
-    blobs["meta"] = np.array(json.dumps(meta))
     stale = tmp_path / "stale.npz"
-    with open(stale, "wb") as fh:
-        np.savez(fh, **blobs)
+    rewrite_checkpoint(path, stale, lambda meta: meta.update(
+        format_version=CHECKPOINT_VERSION + 1))
     with pytest.raises(CheckpointError, match="unsupported checkpoint"):
         load_checkpoint(str(stale))
 
@@ -308,6 +313,41 @@ def test_result_from_checkpoint_evaluates_identically(tinybox_module,
     assert fresh == original
 
 
+def test_checkpoint_with_optimizer_state_loads_the_same(tinybox_module,
+                                                       drrn_result, tmp_path):
+    # Earlier checkpoints also stored Adam moments and RNG states; they are
+    # ignored on load.
+    plain, legacy = tmp_path / "plain.npz", tmp_path / "legacy.npz"
+    save_checkpoint(str(plain), drrn_result)
+    moments = {f"{kind}:{key}": np.full_like(value, 0.5)
+               for key, value in drrn_result.params.items() for kind in "mv"}
+    rewrite_checkpoint(plain, legacy, lambda meta: meta.update(
+        adam={"t": 12, "lr": 1e-3, "beta1": 0.9, "beta2": 0.999,
+              "eps": 1e-8},
+        rng_states={"agent": 1, "replay": 2, "seed": 3}), arrays=moments)
+    old, new = load_checkpoint(str(legacy)), load_checkpoint(str(plain))
+    assert set(old.params) == set(new.params)
+    for key, value in new.params.items():
+        assert np.array_equal(old.params[key], value), key
+    assert evaluate(tinybox_module,
+                    result_from_checkpoint(tinybox_module, old), seed=5,
+                    episodes=3) == \
+        evaluate(tinybox_module, result_from_checkpoint(tinybox_module, new),
+                 seed=5, episodes=3)
+
+
+def test_tdqn_checkpoint_rejects_another_game(tinybox_module, tmp_path):
+    result = train(tinybox_module, tiny_cfg(agent="tdqn", max_env_steps=20),
+                   seed=1)
+    path = tmp_path / "tdqn.npz"
+    save_checkpoint(str(path), result)
+    checkpoint = load_checkpoint(str(path))
+    assert result_from_checkpoint(tinybox_module, checkpoint).templates == \
+        result.templates
+    with pytest.raises(CheckpointError, match="another game"):
+        result_from_checkpoint(load_bundled("mailhouse"), checkpoint)
+
+
 # -- evaluation --------------------------------------------------------------------
 
 
@@ -321,7 +361,79 @@ def test_evaluate_deterministic(tinybox_module, drrn_result):
 
 def test_evaluate_random_delegates_to_rollouts(tinybox):
     cfg = tiny_cfg(agent="random", max_env_steps=120)
-    result = train_random(tinybox, cfg, seed=1)
+    result = train(tinybox, cfg, seed=1)
     records = evaluate(tinybox, result, seed=6, episodes=4)
     assert records == run_random(tinybox, seed=6, episodes=4,
                                  step_cap=cfg.step_cap)
+
+
+# -- the episode protocol ----------------------------------------------------------
+
+
+@pytest.fixture
+def protocol_ends(monkeypatch):
+    """Spy on every Environment; yields the (env_steps, moves) of each
+    episode that the protocol ends, in the order the steps happened."""
+    ended = []
+    run = {"steps": 0, "cfg": None}
+    issues = {}
+    reset, step = Environment.reset, Environment.step
+
+    def spy_reset(env, seed=None):
+        issues[id(env)] = 0
+        return reset(env, seed=seed)
+
+    def spy_step(env, text):
+        result = step(env, text)
+        run["steps"] += 1
+        issues[id(env)] += 1
+        cfg = run["cfg"]
+        if result.done or result.moves >= cfg.step_cap or \
+                issues[id(env)] >= cfg.max_episode_issues:
+            ended.append((run["steps"], result.moves))
+        return result
+
+    def spy(cfg):
+        """Start a new run under cfg's caps; returns the list it fills."""
+        run.update(steps=0, cfg=cfg)
+        ended.clear()
+        return ended
+
+    monkeypatch.setattr(Environment, "reset", spy_reset)
+    monkeypatch.setattr(Environment, "step", spy_step)
+    return spy
+
+
+@pytest.mark.parametrize("agent", ["random", "drrn", "tdqn"])
+def test_recorded_episodes_are_exactly_the_ended_ones(tinybox, agent,
+                                                      protocol_ends):
+    # a low issue cap and step cap make all three endings occur
+    cfg = tiny_cfg(agent=agent, step_cap=6, max_episode_issues=9,
+                   max_env_steps=300)
+    ended = protocol_ends(cfg)
+    result = train(tinybox, cfg, seed=3)
+    assert [(e.env_steps, e.moves) for e in result.episodes] == ended
+    assert len(ended) > 3 and result.env_steps == cfg.max_env_steps
+
+    ended = protocol_ends(cfg)
+    records = evaluate(tinybox, result, seed=4, episodes=5)
+    assert [(e.env_steps, e.moves) for e in records] == ended
+    assert len(records) == 5
+
+
+def test_run_random_records_only_ended_episodes(tinybox, protocol_ends):
+    ended = protocol_ends(TrainConfig(step_cap=20))
+    records = run_random(tinybox, seed=5, episodes=4, step_cap=20)
+    assert [(e.env_steps, e.moves) for e in records] == ended
+    assert len(records) == 4
+
+
+def test_evaluate_never_stops_early(tinybox_module, drrn_result):
+    cfg = dataclasses.replace(drrn_result.config, early_stop_score=0.0,
+                              rolling_window=1)
+    eager = dataclasses.replace(drrn_result, config=cfg)
+    assert evaluate(tinybox_module, eager, seed=5, episodes=3) == \
+        evaluate(tinybox_module, drrn_result, seed=5, episodes=3)
+    random_result = fake_result([0], cfg)
+    assert len(evaluate(tinybox_module, random_result, seed=5,
+                        episodes=3)) == 3

@@ -1,0 +1,120 @@
+"""Check that two checkouts train, evaluate and benchmark identically.
+
+usage: python tools/compare_outputs.py OLD_CHECKOUT NEW_CHECKOUT
+
+Each checkout is imported in its own subprocess (its `src` and `tests`
+directories go first on sys.path), which runs a fixed set of seeded jobs
+and prints a JSON digest of their outputs:
+
+* DRRN and TDQN on the tinybox test game (seeds 7 and 8, plus two
+  early-stopping configs) and on mailhouse (DRRN 600 and TDQN 1500 env
+  steps, seed 3): the learning curve, a hash of the final parameters, the
+  update count, the early-stop step and three evaluation episodes;
+* `bench.run_benchmark` over every bundled game at seeds 1 and 17;
+* random-agent training curves on tinybox and mailhouse.
+
+Learner and benchmark outputs must match byte for byte. A random curve may
+differ only by the new checkout dropping a final episode that the old one
+recorded when the step budget ran out, i.e. one that had not ended. Exits 0
+when every job agrees, 1 otherwise. Takes about a minute per checkout.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
+RANDOM_BUDGETS = (("tiny", 400), ("tiny", 1200), ("mail", 3000))
+
+
+def dump(root: str) -> dict:
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "tests")]
+    from conftest import tinybox_dict
+    from textquest import bench, bundled_game_names, load_bundled
+    from textquest.agents.training import TrainConfig, evaluate, train
+    from textquest.gamedefs import parse_game
+
+    def tiny_cfg(**overrides):
+        base = dict(agent="drrn", embed_dim=8, hidden_dim=8, q_hidden_dim=8,
+                    max_len=16, batch_size=8, warmup=16, update_every=2,
+                    target_sync=25, eps_decay_steps=100, max_env_steps=250,
+                    replay_capacity=2000, rolling_window=5)
+        base.update(overrides)
+        return TrainConfig(**base)
+
+    def learner(game, cfg, seed):
+        result = train(game, cfg, seed)
+        digest = hashlib.sha256()
+        for key in sorted(result.params):
+            digest.update(key.encode())
+            digest.update(result.params[key].tobytes())
+        return {"curve": result.curve_text(), "params": digest.hexdigest(),
+                "updates": result.updates, "env_steps": result.env_steps,
+                "reached": result.reached_step,
+                "eval": repr(evaluate(game, result, seed=5, episodes=3))}
+
+    games = {"tiny": parse_game(tinybox_dict()),
+             "mail": load_bundled("mailhouse")}
+    out = {}
+    for agent in ("drrn", "tdqn"):
+        for seed in (7, 8):
+            out[f"tiny-{agent}-{seed}"] = learner(
+                games["tiny"], tiny_cfg(agent=agent), seed)
+        out[f"tiny-{agent}-stop0"] = learner(
+            games["tiny"], tiny_cfg(agent=agent, early_stop_score=0.0,
+                                    rolling_window=3, max_env_steps=2000), 7)
+        out[f"tiny-{agent}-stop1"] = learner(
+            games["tiny"], tiny_cfg(agent=agent, early_stop_score=1.0,
+                                    rolling_window=4, max_env_steps=3000), 8)
+    out["mail-drrn-3"] = learner(
+        games["mail"], TrainConfig(agent="drrn", max_env_steps=600), 3)
+    out["mail-tdqn-3"] = learner(
+        games["mail"], TrainConfig(agent="tdqn", max_env_steps=1500), 3)
+    bundled = {name: load_bundled(name) for name in bundled_game_names()}
+    for seed in (1, 17):
+        out[f"bench-{seed}"] = bench.run_benchmark(bundled, seed).to_json()
+    for name, steps in RANDOM_BUDGETS:
+        for seed in (1, 2):
+            cfg = TrainConfig(agent="random", max_env_steps=steps)
+            out[f"random-{name}-{steps}-{seed}"] = \
+                train(games[name], cfg, seed).curve_text()
+    return out
+
+
+def random_curve_agrees(old: str, new: str, budget: int) -> bool:
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    if old_lines == new_lines:
+        return True
+    dropped = old_lines[len(new_lines):]
+    return (old_lines[:len(new_lines)] == new_lines and len(dropped) == 1
+            and int(dropped[0].split(",")[1]) == budget)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[1] == "--dump":
+        json.dump(dump(argv[2]), sys.stdout)
+        return 0
+    if len(argv) != 3:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    old, new = (json.loads(subprocess.run(
+        [sys.executable, __file__, "--dump", os.path.abspath(root)],
+        check=True, capture_output=True, text=True).stdout)
+        for root in argv[1:])
+    failed = 0
+    for key in sorted(old):
+        if key.startswith("random-"):
+            same = random_curve_agrees(old[key], new[key],
+                                       int(key.split("-")[2]))
+            note = "" if old[key] == new[key] else " (dropped unfinished)"
+        else:
+            same, note = old[key] == new[key], ""
+        failed += not same
+        print(f"{'agrees' if same else 'DIFFERS'} {key}{note}")
+    print(f"{len(old) - failed}/{len(old)} jobs agree")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
