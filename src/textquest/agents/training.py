@@ -73,6 +73,13 @@ class CheckpointError(Exception):
     pass
 
 
+# Smallest accepted value of each count in TrainConfig. With no envs or a
+# zero cap the rollout loop would never finish an episode or spend its budget.
+_CONFIG_MINIMUMS = {"env_count": 1, "step_cap": 1, "batch_size": 1,
+                    "rolling_window": 1, "max_episode_issues": 1,
+                    "max_env_steps": 0}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Everything a training run depends on besides the game and the seed."""
@@ -107,6 +114,13 @@ class TrainConfig:
     early_stop_score: float | None = None
     max_episode_issues: int = 5000
     max_seconds: float | None = None
+
+    def __post_init__(self) -> None:
+        for name, least in _CONFIG_MINIMUMS.items():
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, "
+                                 f"got {value!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .gamedefs import Condition, GameDef, ScoreRule, Trigger
 from .grammar import (GrammarRule, ParseKind, ParseOutcome, Precondition,
                       tokenize, SLOT)
+from .rng import SplitMix64
 from .world import Diff, ObjectNode, WorldState, WorldObjectTree, state_diff
 
 MSG_UNPARSEABLE = "That's not a verb I recognise."
@@ -89,18 +90,16 @@ class CommandResult:
 
 def init_state(game: GameDef, seed: int = 0) -> WorldState:
     """Fresh episode state for a validated game."""
-    nodes = [obj.copy() for obj in game.objects]
-    tree = WorldObjectTree.build(nodes, dict(game.parents))
+    tree = WorldObjectTree.build(list(game.objects), dict(game.parents))
     tree.validate()
-    from .rng import SplitMix64
     return WorldState(tree=tree, rng=SplitMix64(seed))
 
 
 def player_id(state: WorldState) -> int:
-    for obj_id, node in state.tree.nodes.items():
-        if node.kind == "player":
-            return obj_id
-    raise EngineError("state has no player node")
+    player = state.tree.player
+    if player is None:
+        raise EngineError("state has no player node")
+    return player
 
 
 def player_room(state: WorldState) -> int:
@@ -149,19 +148,11 @@ def visible_objects(state: WorldState, game: GameDef) -> list[int]:
     contents disappear when the room is dark. Closed containers hide their
     contents either way.
     """
-    tree = state.tree
-    player = player_id(state)
     room = player_room(state)
     out: list[int] = []
-    _collect_open(tree, player, out)
+    _collect_open(state.tree, player_id(state), out)
     if not is_dark(state, game, room):
-        for child in tree.children(room):
-            if child == player:
-                continue
-            out.append(child)
-            node = tree.nodes[child]
-            if not node.has("container") or node.has("open"):
-                _collect_open(tree, child, out)
+        _collect_open(state.tree, room, out)
     return sorted(set(out))
 
 
@@ -181,31 +172,39 @@ def parse_command(state: WorldState, game: GameDef,
                   text: str) -> ParseOutcome:
     """Pure parser: same state and text always give the same outcome.
 
-    Rules are tried in authored order. Among rules whose pattern matches and
-    whose nouns resolve, the first whose preconditions hold wins; if none
-    hold, the first resolving rule is returned (its failure text will be
-    shown). A pattern match with an unknown or out-of-sight noun yields
-    UNRESOLVED; no pattern match at all yields UNPARSEABLE.
+    Rules with as many tokens as the command are tried in authored order.
+    Among rules whose pattern matches and whose nouns resolve, the first
+    whose preconditions hold wins; if none hold, the first resolving rule is
+    returned (its failure text will be shown). A pattern match with an
+    unknown or out-of-sight noun yields UNRESOLVED; no pattern match at all
+    yields UNPARSEABLE. The visible-noun map is built only once a pattern
+    reaches an object slot.
     """
+    return _parse(state, game, text)[0]
+
+
+def _parse(state: WorldState, game: GameDef, text: str
+           ) -> tuple[ParseOutcome, GrammarRule | None, bool]:
+    """parse_command's outcome, plus the chosen rule and whether its
+    preconditions hold."""
     words = tokenize(text)
     if not words:
-        return ParseOutcome(ParseKind.UNPARSEABLE)
-    name_map: dict[str, int] = {}
-    for obj in visible_objects(state, game):
-        for name in state.tree.nodes[obj].names:
-            # lowest id wins when two visible objects share a name
-            name_map.setdefault(name, obj)
+        return ParseOutcome(ParseKind.UNPARSEABLE), None, False
+    name_map: dict[str, int] | None = None
     saw_pattern = False
-    first_resolved: ParseOutcome | None = None
-    for rule in game.grammar:
-        pattern = rule.tokens
-        if len(pattern) != len(words):
-            continue
+    first_resolved = None
+    for rule in game.rules_by_length.get(len(words), ()):
         bound: list[int] = []
         matched = True
         resolved = True
-        for p, w in zip(pattern, words):
+        for p, w in zip(rule.tokens, words):
             if p == SLOT:
+                if name_map is None:
+                    name_map = {}
+                    for obj in visible_objects(state, game):
+                        for name in state.tree.nodes[obj].names:
+                            # lowest id wins when visible objects share a name
+                            name_map.setdefault(name, obj)
                 if w in name_map:
                     bound.append(name_map[w])
                 else:
@@ -220,15 +219,14 @@ def parse_command(state: WorldState, game: GameDef,
             continue
         outcome = ParseOutcome(ParseKind.RESOLVED, rule_id=rule.id,
                                objects=tuple(bound))
+        if check_preconditions(state, game, rule, outcome.objects)[0]:
+            return outcome, rule, True
         if first_resolved is None:
-            first_resolved = outcome
-        if check_preconditions(state, game, rule, tuple(bound))[0]:
-            return outcome
+            first_resolved = outcome, rule, False
     if first_resolved is not None:
         return first_resolved
-    if saw_pattern:
-        return ParseOutcome(ParseKind.UNRESOLVED)
-    return ParseOutcome(ParseKind.UNPARSEABLE)
+    kind = ParseKind.UNRESOLVED if saw_pattern else ParseKind.UNPARSEABLE
+    return ParseOutcome(kind), None, False
 
 
 def _target(pre_slot: int | None, pre_obj: int | None,
@@ -248,12 +246,8 @@ def _precondition_holds(state: WorldState, game: GameDef, pre: Precondition,
     kind = pre.kind
     if kind == "not_dark":
         return not is_dark(state, game)
-    if kind == "global_is":
-        return state.globals.get(pre.name or "", 0) == (pre.value or 0)
-    if kind == "global_ge":
-        return state.globals.get(pre.name or "", 0) >= (pre.value or 0)
-    if kind == "player_in":
-        return player_room(state) == pre.room
+    if kind in ("global_is", "global_ge", "player_in"):
+        return _condition_holds(state, game, pre)
     if kind == "inventory_has_room":
         limit = game.inventory_limit
         return limit is None or len(tree.children(player)) < limit
@@ -268,10 +262,8 @@ def _precondition_holds(state: WorldState, game: GameDef, pre: Precondition,
     if kind == "in_room":
         return tree.containing_room(obj) == player_room(state) and \
             not tree.in_subtree(obj, player)
-    if kind == "has_attr":
-        return node.has(pre.attr or "")
-    if kind == "lacks_attr":
-        return not node.has(pre.attr or "")
+    if kind in ("has_attr", "lacks_attr"):
+        return node.has(pre.attr or "") == (kind == "has_attr")
     if kind == "visible":
         return obj in visible_objects(state, game)
     if kind == "capacity_ok":
@@ -331,11 +323,7 @@ def render_room(state: WorldState, game: GameDef,
         if cnode.kind == "scenery":
             continue
         parts.append(f"There is {_noun(cnode)} here.")
-        if cnode.has("container") and cnode.has("open"):
-            inside = tree.children(child)
-            if inside:
-                parts.append(
-                    f"The {cnode.name} contains {_listing(tree, inside)}.")
+        _add_contents(tree, child, parts)
     return " ".join(parts)
 
 
@@ -346,13 +334,15 @@ def render_inventory(state: WorldState, game: GameDef) -> str:
         return "You are empty handed."
     parts = [f"You are carrying {_listing(tree, carried)}."]
     for obj in carried:
-        node = tree.nodes[obj]
-        if node.has("container") and node.has("open"):
-            inside = tree.children(obj)
-            if inside:
-                parts.append(
-                    f"The {node.name} contains {_listing(tree, inside)}.")
+        _add_contents(tree, obj, parts)
     return " ".join(parts)
+
+
+def _add_contents(tree: WorldObjectTree, obj: int, parts: list[str]) -> None:
+    node = tree.nodes[obj]
+    inside = node.has("container") and node.has("open") and tree.children(obj)
+    if inside:
+        parts.append(f"The {node.name} contains {_listing(tree, inside)}.")
 
 
 def _fmt(template: str, tree: WorldObjectTree,
@@ -448,7 +438,7 @@ def _apply_effect(state: WorldState, game: GameDef, rule: GrammarRule,
                 raise fail("You can't open that.")
             if node.has("locked"):
                 raise fail(f"The {node.name} is locked.")
-            node.attributes.add(attr)
+            tree.set_attr(target, attr)
             inside = tree.children(target)
             if inside:
                 return success(f"Opening the {node.name} reveals "
@@ -456,10 +446,9 @@ def _apply_effect(state: WorldState, game: GameDef, rule: GrammarRule,
             return success(f"You open the {node.name}.")
         if attr == "lit" and not node.has("lightsource"):
             raise fail("You can't light that.")
-        node.attributes.add(attr)
-        if attr == "lit":
-            return success(f"You turn on the {node.name}.")
-        return success("Done.")
+        tree.set_attr(target, attr)
+        return success(f"You turn on the {node.name}." if attr == "lit"
+                       else "Done.")
 
     if eff.kind == "clear-attribute":
         target = _target(eff.slot, eff.obj, objects, 1)
@@ -467,12 +456,9 @@ def _apply_effect(state: WorldState, game: GameDef, rule: GrammarRule,
         attr = eff.attr or ""
         if not node.has(attr):
             raise fail("Nothing happens.")
-        node.attributes.discard(attr)
-        if attr == "open":
-            return success(f"You close the {node.name}.")
-        if attr == "lit":
-            return success(f"You turn off the {node.name}.")
-        return success("Done.")
+        tree.set_attr(target, attr, on=False)
+        verb = {"open": "You close", "lit": "You turn off"}.get(attr)
+        return success(f"{verb} the {node.name}." if verb else "Done.")
 
     if eff.kind == "unlock-with":
         target = _target(eff.slot, eff.obj, objects, 1)
@@ -483,7 +469,7 @@ def _apply_effect(state: WorldState, game: GameDef, rule: GrammarRule,
         if key is None or node.key_id != key:
             raise fail(f"The {tree.nodes[key].name} doesn't fit."
                        if key is not None else "Nothing to unlock with.")
-        node.attributes.discard("locked")
+        tree.set_attr(target, "locked", on=False)
         return success(f"You unlock the {node.name} with "
                        f"the {tree.nodes[key].name}.")
 
@@ -512,11 +498,9 @@ def _apply_effect(state: WorldState, game: GameDef, rule: GrammarRule,
         node = tree.nodes[target]
         if not node.has("lightsource"):
             raise fail("You can't light that.")
-        if node.has("lit"):
-            node.attributes.discard("lit")
-            return success(f"You turn off the {node.name}.")
-        node.attributes.add("lit")
-        return success(f"You turn on the {node.name}.")
+        lit = node.has("lit")
+        tree.set_attr(target, "lit", on=not lit)
+        return success(f"You turn {'off' if lit else 'on'} the {node.name}.")
 
     if eff.kind == "emit-text":
         if eff.source == "literal":
@@ -550,7 +534,7 @@ def _apply_effect(state: WorldState, game: GameDef, rule: GrammarRule,
 
 
 def _condition_holds(state: WorldState, game: GameDef,
-                     cond: Condition) -> bool:
+                     cond: Condition | Precondition) -> bool:
     tree = state.tree
     kind = cond.kind
     if kind == "global_is":
@@ -562,10 +546,8 @@ def _condition_holds(state: WorldState, game: GameDef,
     node = tree.nodes.get(cond.obj or -1)
     if node is None:
         return False
-    if kind == "has_attr":
-        return node.has(cond.attr or "")
-    if kind == "lacks_attr":
-        return not node.has(cond.attr or "")
+    if kind in ("has_attr", "lacks_attr"):
+        return node.has(cond.attr or "") == (kind == "has_attr")
     if kind == "parent_is":
         return tree.parent[cond.obj] == cond.parent
     raise EngineError(f"unknown condition kind '{kind}'")
@@ -627,16 +609,14 @@ def execute(state: WorldState, game: GameDef, text: str) -> CommandResult:
     it parsed to a rule whose preconditions held and whose effect applied.
     Rejected commands return the input state object unchanged.
     """
-    outcome = parse_command(state, game, text)
-    if outcome.kind is ParseKind.UNPARSEABLE:
-        return CommandResult(state, MSG_UNPARSEABLE, outcome, False, 0,
-                             Diff())
-    if outcome.kind is ParseKind.UNRESOLVED:
-        return CommandResult(state, MSG_UNRESOLVED, outcome, False, 0, Diff())
-    rule = next(r for r in game.grammar if r.id == outcome.rule_id)
-    ok, message = check_preconditions(state, game, rule, outcome.objects)
-    if not ok:
+    outcome, rule, ok = _parse(state, game, text)
+    if rule is None:
+        message = MSG_UNRESOLVED if outcome.kind is ParseKind.UNRESOLVED \
+            else MSG_UNPARSEABLE
         return CommandResult(state, message, outcome, False, 0, Diff())
+    if not ok:
+        return CommandResult(state, rule.failure_text or MSG_CANT, outcome,
+                             False, 0, Diff())
     after = state.copy()
     try:
         text_out = _apply_effect(after, game, rule, outcome.objects)
@@ -647,11 +627,5 @@ def execute(state: WorldState, game: GameDef, text: str) -> CommandResult:
     notices = _award_score(state, after, game, rule.id)
     if notices:
         text_out = " ".join([text_out] + notices)
-    return CommandResult(
-        state=after,
-        observation=text_out,
-        outcome=outcome,
-        applied=True,
-        reward=after.score - state.score,
-        diff=state_diff(state, after),
-    )
+    return CommandResult(after, text_out, outcome, True,
+                         after.score - state.score, state_diff(state, after))

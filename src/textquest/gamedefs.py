@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -100,6 +101,14 @@ class GameDef:
     expected_template_count: int | None = None
     format_version: int = FORMAT_VERSION
 
+    @cached_property
+    def rules_by_length(self) -> dict[int, tuple[gr.GrammarRule, ...]]:
+        """Grammar rules keyed by pattern token count, in authored order."""
+        out: dict[int, list[gr.GrammarRule]] = {}
+        for rule in self.grammar:
+            out.setdefault(len(rule.tokens), []).append(rule)
+        return {n: tuple(rules) for n, rules in out.items()}
+
     def templates(self) -> tuple[gr.Template, ...]:
         return gr.extract_templates(self.grammar)
 
@@ -118,100 +127,145 @@ class GameDef:
 
 
 # -- JSON decoding ------------------------------------------------------------
+# Every value is type-checked as it is read, so a malformed file fails with
+# GameFileError naming the field, and validate() only sees well-typed data.
+
+_REQUIRED = object()
+
+_JSON_TYPE = {dict: "an object", list: "a list", str: "a string",
+              int: "an integer", bool: "true or false"}
+
+# record field annotation -> (JSON type, null allowed)
+_FIELD_TYPE = {"str": (str, False), "bool": (bool, False),
+               "str | None": (str, True), "int | None": (int, True)}
 
 
-def _require(data: dict, key: str, path: str):
+def _typed(value, want: type, path: str, nullable: bool = False):
+    """`value` if it has JSON type `want` (a bool is not an integer)."""
+    if value is None and nullable:
+        return None
+    if not isinstance(value, want) or (want is int and
+                                       isinstance(value, bool)):
+        raise GameFileError(f"{path}: expected {_JSON_TYPE[want]}, "
+                            f"got {type(value).__name__}")
+    return value
+
+
+def _field(data: dict, key: str, path: str, want: type, default=_REQUIRED):
+    """data[key] checked against `want`; null is allowed when the default
+    is None."""
     if key not in data:
-        raise GameFileError(f"{path}: missing required field '{key}'")
-    return data[key]
+        if default is _REQUIRED:
+            raise GameFileError(f"{path}: missing required field '{key}'")
+        return default
+    return _typed(data[key], want, f"{path}.{key}", nullable=default is None)
 
 
-def _decode_object(data: dict, path: str) -> tuple[ObjectNode, int | None]:
+def _items(data: dict, key: str, path: str, want: type,
+           default=_REQUIRED) -> tuple:
+    """A list field whose every item has JSON type `want`."""
+    items = _field(data, key, path, list, default)
+    return tuple(_typed(v, want, f"{path}.{key}[{i}]")
+                 for i, v in enumerate(items))
+
+
+def _record(cls, data, path: str, what: str, **nested):
+    """Build a flat record class from a JSON object: unknown fields are
+    rejected, `kind` is required, and values must match the annotations."""
+    data = _typed(data, dict, path)
+    types = {f.name: _FIELD_TYPE[f.type] for f in fields(cls)
+             if f.name not in nested}
+    extra = set(data) - set(types) - set(nested)
+    if extra:
+        raise GameFileError(f"{path}: unknown {what} field(s) {sorted(extra)}")
+    _field(data, "kind", path, str)
+    values = {}
+    for key, value in data.items():
+        if key not in nested:
+            want, nullable = types[key]
+            values[key] = _typed(value, want, f"{path}.{key}", nullable)
+    return cls(**nested, **values)
+
+
+def _decode_object(data, path: str) -> tuple[ObjectNode, int | None]:
+    data = _typed(data, dict, path)
     node = ObjectNode(
-        id=_require(data, "id", path),
-        names=tuple(_require(data, "names", path)),
-        kind=_require(data, "kind", path),
-        attributes=set(data.get("attributes", ())),
-        key_id=data.get("key_id"),
-        capacity=data.get("capacity"),
-        text=data.get("text", ""),
-        read_text=data.get("read_text"),
+        id=_field(data, "id", path, int),
+        names=_items(data, "names", path, str),
+        kind=_field(data, "kind", path, str),
+        attributes=_items(data, "attributes", path, str, ()),
+        key_id=_field(data, "key_id", path, int, None),
+        capacity=_field(data, "capacity", path, int, None),
+        text=_field(data, "text", path, str, ""),
+        read_text=_field(data, "read_text", path, str, None),
     )
-    return node, data.get("parent")
+    return node, _field(data, "parent", path, int, None)
 
 
-def _decode_effect(data: dict, path: str) -> gr.Effect:
-    kind = _require(data, "kind", path)
-    known = {f.name for f in fields(gr.Effect)}
-    extra = set(data) - known
-    if extra:
-        raise GameFileError(f"{path}: unknown effect field(s) {sorted(extra)}")
-    return gr.Effect(**data)
-
-
-def _decode_precondition(data: dict, path: str) -> gr.Precondition:
-    known = {f.name for f in fields(gr.Precondition)}
-    extra = set(data) - known
-    if extra:
-        raise GameFileError(
-            f"{path}: unknown precondition field(s) {sorted(extra)}")
-    _require(data, "kind", path)
-    return gr.Precondition(**data)
-
-
-def _decode_rule(data: dict, path: str) -> gr.GrammarRule:
+def _decode_rule(data, path: str) -> gr.GrammarRule:
+    data = _typed(data, dict, path)
     return gr.GrammarRule(
-        id=_require(data, "id", path),
-        pattern=_require(data, "pattern", path),
-        effect=_decode_effect(_require(data, "effect", path),
-                              f"{path}.effect"),
+        id=_field(data, "id", path, str),
+        pattern=_field(data, "pattern", path, str),
+        effect=_record(gr.Effect, _field(data, "effect", path, dict),
+                       f"{path}.effect", "effect"),
         preconditions=tuple(
-            _decode_precondition(p, f"{path}.preconditions[{i}]")
-            for i, p in enumerate(data.get("preconditions", ()))),
-        text=data.get("text"),
-        failure_text=data.get("failure_text"),
+            _record(gr.Precondition, p, f"{path}.preconditions[{i}]",
+                    "precondition")
+            for i, p in enumerate(_field(data, "preconditions", path, list,
+                                         ()))),
+        text=_field(data, "text", path, str, None),
+        failure_text=_field(data, "failure_text", path, str, None),
     )
 
 
-def _decode_condition(data: dict, path: str) -> Condition:
-    known = {f.name for f in fields(Condition)}
-    extra = set(data) - known
-    if extra:
-        raise GameFileError(
-            f"{path}: unknown condition field(s) {sorted(extra)}")
-    _require(data, "kind", path)
-    return Condition(**data)
-
-
-def _decode_score_rule(data: dict, path: str) -> ScoreRule:
-    tdata = dict(_require(data, "trigger", path))
+def _decode_score_rule(data, path: str) -> ScoreRule:
+    data = _typed(data, dict, path)
+    tpath = f"{path}.trigger"
+    tdata = _field(data, "trigger", path, dict)
     conditions = tuple(
-        _decode_condition(c, f"{path}.trigger.conditions[{i}]")
-        for i, c in enumerate(tdata.pop("conditions", ())))
-    known = {f.name for f in fields(Trigger)} - {"conditions"}
-    extra = set(tdata) - known
-    if extra:
-        raise GameFileError(f"{path}.trigger: unknown field(s) {sorted(extra)}")
-    _require(tdata, "kind", f"{path}.trigger")
+        _record(Condition, c, f"{tpath}.conditions[{i}]", "condition")
+        for i, c in enumerate(_field(tdata, "conditions", tpath, list, ())))
     return ScoreRule(
-        trigger=Trigger(conditions=conditions, **tdata),
-        points=_require(data, "points", path),
-        once=data.get("once", True),
-        ends=data.get("ends", False),
+        trigger=_record(Trigger, tdata, tpath, "trigger",
+                        conditions=conditions),
+        points=_field(data, "points", path, int),
+        once=_field(data, "once", path, bool, True),
+        ends=_field(data, "ends", path, bool, False),
     )
 
 
 def _decode_exit(value, path: str) -> Exit:
-    if isinstance(value, int):
-        return Exit(to=value)
     if isinstance(value, dict):
-        return Exit(to=_require(value, "to", path),
-                    requires_open=value.get("requires_open"))
+        return Exit(to=_field(value, "to", path, int),
+                    requires_open=_field(value, "requires_open", path, int,
+                                         None))
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Exit(to=value)
     raise GameFileError(f"{path}: exit must be a room id or an object")
 
 
+def _decode_exits(data: dict, source: str) -> dict[int, dict[str, Exit]]:
+    exits: dict[int, dict[str, Exit]] = {}
+    for room_key, table in _field(data, "exits", source, dict, {}).items():
+        path = f"{source}:exits[{room_key}]"
+        try:
+            room = int(room_key)
+        except (TypeError, ValueError):
+            raise GameFileError(f"{path}: room key must be an integer id") \
+                from None
+        exits[room] = {direction: _decode_exit(v, f"{path}.{direction}")
+                       for direction, v in _typed(table, dict, path).items()}
+    return exits
+
+
 def parse_game(data: dict, source: str = "<data>") -> GameDef:
-    """Decode a JSON object into a GameDef and validate it."""
+    """Decode a JSON object into a GameDef and validate it.
+
+    Raises GameFileError for a missing, unknown or mistyped field and
+    GameValidationError for a well-typed game that breaks the schema.
+    """
+    data = _typed(data, dict, source)
     version = data.get("format_version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
         raise GameFileError(
@@ -219,36 +273,32 @@ def parse_game(data: dict, source: str = "<data>") -> GameDef:
             f"(this build reads version {FORMAT_VERSION})")
     objects = []
     parents: dict[int, int] = {}
-    for i, odata in enumerate(data.get("objects", ())):
+    for i, odata in enumerate(_field(data, "objects", source, list, ())):
         node, parent = _decode_object(odata, f"{source}:objects[{i}]")
         objects.append(node)
         if parent is not None:
             parents[node.id] = parent
-    exits: dict[int, dict[str, Exit]] = {}
-    for room_key, table in data.get("exits", {}).items():
-        room = int(room_key)
-        exits[room] = {
-            direction: _decode_exit(v, f"{source}:exits[{room_key}].{direction}")
-            for direction, v in table.items()}
     game = GameDef(
-        title=_require(data, "title", source),
+        title=_field(data, "title", source, str),
         objects=tuple(objects),
         parents=parents,
-        exits=exits,
+        exits=_decode_exits(data, source),
         grammar=tuple(
             _decode_rule(r, f"{source}:grammar[{i}]")
-            for i, r in enumerate(data.get("grammar", ()))),
+            for i, r in enumerate(_field(data, "grammar", source, list, ()))),
         score_rules=tuple(
             _decode_score_rule(s, f"{source}:score_rules[{i}]")
-            for i, s in enumerate(data.get("score_rules", ()))),
-        max_score=_require(data, "max_score", source),
-        start_room=_require(data, "start_room", source),
-        intro_text=data.get("intro_text", ""),
-        dark_rooms=frozenset(data.get("dark_rooms", ())),
-        inventory_limit=data.get("inventory_limit"),
-        traits=frozenset(data.get("traits", ())),
-        walkthrough=tuple(data.get("walkthrough", ())),
-        expected_template_count=data.get("expected_template_count"),
+            for i, s in enumerate(_field(data, "score_rules", source, list,
+                                         ()))),
+        max_score=_field(data, "max_score", source, int),
+        start_room=_field(data, "start_room", source, int),
+        intro_text=_field(data, "intro_text", source, str, ""),
+        dark_rooms=frozenset(_items(data, "dark_rooms", source, int, ())),
+        inventory_limit=_field(data, "inventory_limit", source, int, None),
+        traits=frozenset(_items(data, "traits", source, str, ())),
+        walkthrough=_items(data, "walkthrough", source, str, ()),
+        expected_template_count=_field(data, "expected_template_count",
+                                       source, int, None),
     )
     validate(game)
     return game
@@ -363,6 +413,10 @@ def save_game(game: GameDef, path: str | Path) -> None:
 # -- validation ----------------------------------------------------------------
 
 
+# snapshots store ids, links and capacities as signed 32-bit integers
+_ID_LIMIT = 2 ** 31
+
+
 def _slot_ok(slot: int | None, blanks: int) -> bool:
     return slot is None or 1 <= slot <= blanks
 
@@ -378,6 +432,8 @@ def validate(game: GameDef) -> list[str]:
         path = f"objects[{obj.id}]"
         if obj.id == ROOT_ID:
             errors.append(f"{path}: id {ROOT_ID} is reserved for the root")
+        elif not 0 < obj.id < _ID_LIMIT:
+            errors.append(f"{path}: id must be from 1 to {_ID_LIMIT - 1}")
         if obj.id in by_id:
             errors.append(f"{path}: duplicate id")
         by_id[obj.id] = obj
@@ -403,6 +459,9 @@ def validate(game: GameDef) -> list[str]:
             errors.append(f"{path}: key_id {obj.key_id} does not exist")
         if obj.capacity is not None and "container" not in obj.attributes:
             errors.append(f"{path}: capacity on a non-container")
+        if obj.capacity is not None and not 0 <= obj.capacity < _ID_LIMIT:
+            errors.append(f"{path}: capacity must be from 0 to "
+                          f"{_ID_LIMIT - 1}")
 
     players = [o for o in game.objects if o.kind == "player"]
     if len(players) != 1:

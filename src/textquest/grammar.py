@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 SLOT = "OBJ"
@@ -101,7 +102,7 @@ class GrammarRule:
     text: str | None = None
     failure_text: str | None = None
 
-    @property
+    @cached_property
     def tokens(self) -> tuple[str, ...]:
         return tuple(self.pattern.split())
 

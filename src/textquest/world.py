@@ -5,6 +5,12 @@ Objects live in a parent/first-child/sibling forest under a synthetic
 the player; the player's parent is the room they stand in and the player's
 children are the inventory.
 
+Object nodes are immutable, so copies of a tree share them: copying a state
+copies four link/node dicts and the globals, never a node. Every edit goes
+through `WorldObjectTree.reparent` (links) or `WorldObjectTree.set_attr`
+(which swaps in a new node), so an edit to a copy never reaches the states
+it shares nodes with.
+
 Sibling chains are kept in ascending-id order at all times. Child order is
 therefore derived from the parent map, which keeps three contracts mutually
 consistent: a single take produces a single-entry diff, diffs are empty
@@ -15,7 +21,7 @@ byte-identical.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from hashlib import blake2b
 from typing import Iterator, NamedTuple
 
@@ -52,18 +58,27 @@ class SnapshotError(Exception):
     """Raised when snapshot bytes cannot be decoded."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObjectNode:
-    """One object. `names[0]` is the canonical name used in rendered text."""
+    """One object. `names[0]` is the canonical name used in rendered text.
+
+    Immutable, so trees and game definitions can share one node; any
+    iterable of attribute names is stored as a frozenset.
+    """
 
     id: int
     names: tuple[str, ...]
     kind: str
-    attributes: set[str] = field(default_factory=set)
+    attributes: frozenset[str] = frozenset()
     key_id: int | None = None
     capacity: int | None = None
     text: str = ""
     read_text: str | None = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.attributes, frozenset):
+            object.__setattr__(self, "attributes",
+                               frozenset(self.attributes))
 
     @property
     def name(self) -> str:
@@ -72,32 +87,29 @@ class ObjectNode:
     def has(self, attr: str) -> bool:
         return attr in self.attributes
 
-    def copy(self) -> "ObjectNode":
-        return ObjectNode(
-            id=self.id,
-            names=self.names,
-            kind=self.kind,
-            attributes=set(self.attributes),
-            key_id=self.key_id,
-            capacity=self.capacity,
-            text=self.text,
-            read_text=self.read_text,
-        )
-
 
 def universe_node() -> ObjectNode:
     return ObjectNode(id=ROOT_ID, names=("universe",), kind="scenery",
                       attributes={"fixed"})
 
 
+def _first_player(nodes: dict[int, ObjectNode]) -> int | None:
+    return next((i for i, n in nodes.items() if n.kind == "player"), None)
+
+
 class WorldObjectTree:
-    """Forest of ObjectNodes linked by parent/first_child/sibling ids."""
+    """Forest of ObjectNodes linked by parent/first_child/sibling ids.
+
+    `player` is the id of the first player node, recorded when the tree is
+    built or decoded (kinds never change), or None when there is none.
+    """
 
     def __init__(self) -> None:
         self.nodes: dict[int, ObjectNode] = {}
         self.parent: dict[int, int | None] = {}
         self.first_child: dict[int, int | None] = {}
         self.sibling: dict[int, int | None] = {}
+        self.player: int | None = None
 
     @classmethod
     def build(cls, nodes: list[ObjectNode],
@@ -108,37 +120,41 @@ class WorldObjectTree:
         entry is attached to it.
         """
         tree = cls()
-        root = universe_node()
-        tree.nodes[ROOT_ID] = root
-        tree.parent[ROOT_ID] = None
-        tree.first_child[ROOT_ID] = None
-        tree.sibling[ROOT_ID] = None
-        for node in nodes:
+        for node in [universe_node(), *nodes]:
             if node.id in tree.nodes:
                 raise TreeError(f"duplicate object id {node.id}")
             tree.nodes[node.id] = node
-            tree.parent[node.id] = None
-            tree.first_child[node.id] = None
-            tree.sibling[node.id] = None
+            for links in (tree.parent, tree.first_child, tree.sibling):
+                links[node.id] = None
         for node in sorted(nodes, key=lambda n: n.id):
             tree._attach(node.id, parents.get(node.id, ROOT_ID))
+        tree.player = _first_player(tree.nodes)
         return tree
 
     # -- traversal ---------------------------------------------------------
 
     def children(self, obj: int) -> list[int]:
+        """Children of `obj` in chain order; raises TreeError if it loops."""
         out = []
         child = self.first_child[obj]
-        while child is not None:
+        sibling = self.sibling
+        # a chain holds each node at most once, so a longer walk has looped
+        for _ in range(len(self.nodes) + 1):
+            if child is None:
+                return out
             out.append(child)
-            child = self.sibling[child]
-        return out
+            child = sibling[child]
+        raise TreeError(f"sibling chain of {obj} loops")
 
     def descendants(self, obj: int) -> Iterator[int]:
         """Yield every node strictly below `obj`, depth first."""
         stack = self.children(obj)[::-1]
+        budget = len(self.nodes)
         while stack:
             cur = stack.pop()
+            budget -= 1
+            if budget < 0:
+                raise TreeError(f"subtree of {obj} loops")
             yield cur
             stack.extend(self.children(cur)[::-1])
 
@@ -151,7 +167,7 @@ class WorldObjectTree:
     def in_subtree(self, obj: int, ancestor: int) -> bool:
         if obj == ancestor:
             return True
-        return any(a == ancestor for a in self.ancestors(obj))
+        return ancestor in self.ancestors(obj)
 
     def containing_room(self, obj: int) -> int | None:
         """Nearest ancestor (or self) of kind room."""
@@ -208,6 +224,14 @@ class WorldObjectTree:
         self._detach(obj)
         self._attach(obj, new_parent)
 
+    def set_attr(self, obj: int, attr: str, on: bool = True) -> None:
+        """Turn `attr` on or off for `obj`, in place, by replacing its node."""
+        if obj not in self.nodes or attr not in _ATTR_BIT:
+            raise TreeError(f"unknown object {obj} or attribute '{attr}'")
+        node = self.nodes[obj]
+        attrs = node.attributes | {attr} if on else node.attributes - {attr}
+        self.nodes[obj] = replace(node, attributes=attrs)
+
     # -- integrity ---------------------------------------------------------
 
     def validate(self) -> None:
@@ -240,11 +264,13 @@ class WorldObjectTree:
             raise TreeError(f"unreachable nodes: {sorted(missing)}")
 
     def copy(self) -> "WorldObjectTree":
+        """Independent links over the same (immutable) nodes."""
         dup = WorldObjectTree()
-        dup.nodes = {i: n.copy() for i, n in self.nodes.items()}
+        dup.nodes = dict(self.nodes)
         dup.parent = dict(self.parent)
         dup.first_child = dict(self.first_child)
         dup.sibling = dict(self.sibling)
+        dup.player = self.player
         return dup
 
 
@@ -311,13 +337,10 @@ class WorldState:
                 raw = node.read_text.encode("utf-8")
                 parts.append(struct.pack("<BI", 1, len(raw)))
                 parts.append(raw)
-
-            def link(value: int | None) -> int:
-                return -1 if value is None else value
-
-            parts.append(struct.pack("<iii", link(tree.parent[obj_id]),
-                                     link(tree.first_child[obj_id]),
-                                     link(tree.sibling[obj_id])))
+            links = (tree.parent[obj_id], tree.first_child[obj_id],
+                     tree.sibling[obj_id])
+            parts.append(struct.pack(
+                "<iii", *(-1 if link is None else link for link in links)))
         live_globals = {k: v for k, v in self.globals.items() if v != 0}
         parts.append(struct.pack("<I", len(live_globals)))
         for key in sorted(live_globals):
@@ -426,7 +449,7 @@ def _decode(data: bytes) -> WorldState:
             raise SnapshotError(f"unknown attribute bits in {mask:#x}")
         if obj_id in tree.nodes:
             raise SnapshotError(f"duplicate object id {obj_id}")
-        attrs = {a for a in ATTRIBUTES if mask & _ATTR_BIT[a]}
+        attrs = frozenset(a for a in ATTRIBUTES if mask & _ATTR_BIT[a])
         tree.nodes[obj_id] = ObjectNode(
             id=obj_id, names=tuple(names), kind=KINDS[kind_code],
             attributes=attrs,
@@ -434,18 +457,14 @@ def _decode(data: bytes) -> WorldState:
             capacity=None if capacity < 0 else capacity,
             text=text, read_text=read_text)
         links[obj_id] = r.take("<iii")
-
-    def opt(value: int) -> int | None:
-        return None if value < 0 else value
-
     ends = {end for trio in links.values() for end in trio if end >= 0}
     if not ends <= tree.nodes.keys():
         raise SnapshotError(
             f"links name unknown ids {sorted(ends - tree.nodes.keys())}")
-    for obj_id, (parent, first, sib) in links.items():
-        tree.parent[obj_id] = opt(parent)
-        tree.first_child[obj_id] = opt(first)
-        tree.sibling[obj_id] = opt(sib)
+    for obj_id, trio in links.items():
+        tree.parent[obj_id], tree.first_child[obj_id], tree.sibling[obj_id] = (
+            None if end < 0 else end for end in trio)
+    tree.player = _first_player(tree.nodes)
     (n_globals,) = r.take("<I")
     globals_map: dict[str, int] = {}
     for _ in range(n_globals):
@@ -503,32 +522,38 @@ class Diff:
 
 
 def state_diff(a: WorldState, b: WorldState) -> Diff:
-    """Diff two states. Entries are sorted, so equal diffs compare equal."""
-    tree_changes: list[TreeChange] = []
-    ids_a, ids_b = set(a.tree.nodes), set(b.tree.nodes)
-    for obj in ids_a ^ ids_b:
-        tree_changes.append(TreeChange(obj, "present", obj in ids_a,
-                                       obj in ids_b))
-    for obj in ids_a & ids_b:
-        pa, pb = a.tree.parent[obj], b.tree.parent[obj]
-        if pa != pb:
-            tree_changes.append(TreeChange(obj, "parent", pa, pb))
-        attrs_a = a.tree.nodes[obj].attributes
-        attrs_b = b.tree.nodes[obj].attributes
-        for attr in attrs_a ^ attrs_b:
-            tree_changes.append(TreeChange(obj, f"attr:{attr}",
-                                           attr in attrs_a, attr in attrs_b))
+    """Diff two states. Entries are sorted, so equal diffs compare equal.
+
+    A channel is scanned only when its maps differ, and attributes only for
+    objects whose nodes are not shared between the two states.
+    """
+    ta, tb = a.tree, b.tree
+    ids_a, ids_b = ta.nodes.keys(), tb.nodes.keys()
+    tree_changes = [TreeChange(obj, "present", obj in ids_a, obj in ids_b)
+                    for obj in ids_a ^ ids_b]
+    common = ids_a & ids_b
+    if ta.parent != tb.parent:
+        tree_changes += [TreeChange(obj, "parent", ta.parent[obj],
+                                    tb.parent[obj])
+                         for obj in common if ta.parent[obj] != tb.parent[obj]]
+    if ta.nodes != tb.nodes:
+        for obj in common:
+            na, nb = ta.nodes[obj], tb.nodes[obj]
+            if na is not nb:
+                tree_changes += [
+                    TreeChange(obj, f"attr:{attr}", attr in na.attributes,
+                               attr in nb.attributes)
+                    for attr in na.attributes ^ nb.attributes]
     global_changes = []
-    for name in sorted(set(a.globals) | set(b.globals)):
-        va, vb = a.globals.get(name, 0), b.globals.get(name, 0)
-        if va != vb:
-            global_changes.append(GlobalChange(name, va, vb))
-    status_changes = []
-    for fname in ("done", "moves", "score"):
-        va, vb = getattr(a, fname), getattr(b, fname)
-        if va != vb:
-            status_changes.append(StatusChange(fname, va, vb))
-    tree_changes.sort(key=lambda c: (c.obj, c.field))
+    if a.globals != b.globals:
+        for name in sorted(a.globals.keys() | b.globals.keys()):
+            va, vb = a.globals.get(name, 0), b.globals.get(name, 0)
+            if va != vb:
+                global_changes.append(GlobalChange(name, va, vb))
+    status_changes = [StatusChange(fname, getattr(a, fname), getattr(b, fname))
+                      for fname in ("done", "moves", "score")
+                      if getattr(a, fname) != getattr(b, fname)]
+    tree_changes.sort()  # (obj, field) pairs are unique
     return Diff(tree=tuple(tree_changes), globals=tuple(global_changes),
                 status=tuple(status_changes))
 

@@ -1,12 +1,16 @@
-"""Shared test machinery: fixture batches, full-coordinate FD checks, and
-the per-gate GRU that the fused one in textquest.agents.nn is checked
-against."""
+"""Shared test machinery: fixture batches, full-coordinate FD checks, the
+per-gate GRU that the fused one in textquest.agents.nn is checked against,
+and the eager parser and full-scan diff that the engine's and the world's
+are checked against."""
 
 import json
 
 import numpy as np
 
 from textquest.agents.models import ModelConfig
+from textquest.engine import check_preconditions, visible_objects
+from textquest.grammar import SLOT, ParseKind, ParseOutcome, tokenize
+from textquest.world import Diff, GlobalChange, StatusChange, TreeChange
 
 FD_H = 1e-4
 FD_REL_TOL = 1e-4
@@ -189,3 +193,85 @@ def rewrite_checkpoint(src, dst, edit=None, arrays=None, drop=()):
     blobs.update(arrays or {})
     with open(str(dst), "wb") as fh:
         np.savez(fh, **blobs)
+
+
+# -- reference parser and diff --------------------------------------------------
+# The engine builds its noun map lazily and only tries rules of the command's
+# length; the world's diff skips channels and shared nodes. These are the
+# plain forms: build every map, try every rule, scan every object.
+
+
+def reference_parse_command(state, game, text):
+    """Eager parser: the noun map first, then every rule in authored order."""
+    words = tokenize(text)
+    if not words:
+        return ParseOutcome(ParseKind.UNPARSEABLE)
+    name_map = {}
+    for obj in visible_objects(state, game):
+        for name in state.tree.nodes[obj].names:
+            name_map.setdefault(name, obj)
+    saw_pattern = False
+    first_resolved = None
+    for rule in game.grammar:
+        pattern = tuple(rule.pattern.split())
+        if len(pattern) != len(words):
+            continue
+        bound = []
+        matched = True
+        resolved = True
+        for p, w in zip(pattern, words):
+            if p == SLOT:
+                if w in name_map:
+                    bound.append(name_map[w])
+                else:
+                    resolved = False
+            elif p != w:
+                matched = False
+                break
+        if not matched:
+            continue
+        saw_pattern = True
+        if not resolved:
+            continue
+        outcome = ParseOutcome(ParseKind.RESOLVED, rule_id=rule.id,
+                               objects=tuple(bound))
+        if first_resolved is None:
+            first_resolved = outcome
+        if check_preconditions(state, game, rule, tuple(bound))[0]:
+            return outcome
+    if first_resolved is not None:
+        return first_resolved
+    if saw_pattern:
+        return ParseOutcome(ParseKind.UNRESOLVED)
+    return ParseOutcome(ParseKind.UNPARSEABLE)
+
+
+def reference_state_diff(a, b):
+    """Diff that compares every parent and attribute set of every object."""
+    tree_changes = []
+    ids_a, ids_b = set(a.tree.nodes), set(b.tree.nodes)
+    for obj in ids_a ^ ids_b:
+        tree_changes.append(TreeChange(obj, "present", obj in ids_a,
+                                       obj in ids_b))
+    for obj in ids_a & ids_b:
+        pa, pb = a.tree.parent[obj], b.tree.parent[obj]
+        if pa != pb:
+            tree_changes.append(TreeChange(obj, "parent", pa, pb))
+        attrs_a = set(a.tree.nodes[obj].attributes)
+        attrs_b = set(b.tree.nodes[obj].attributes)
+        for attr in attrs_a ^ attrs_b:
+            tree_changes.append(TreeChange(obj, f"attr:{attr}",
+                                           attr in attrs_a, attr in attrs_b))
+    global_changes = []
+    for name in sorted(set(a.globals) | set(b.globals)):
+        va, vb = a.globals.get(name, 0), b.globals.get(name, 0)
+        if va != vb:
+            global_changes.append(GlobalChange(name, va, vb))
+    status_changes = []
+    for fname in ("done", "moves", "score"):
+        va, vb = getattr(a, fname), getattr(b, fname)
+        if va != vb:
+            status_changes.append(StatusChange(fname, va, vb))
+    tree_changes.sort(key=lambda c: (c.obj, c.field))
+    return Diff(tree=tuple(tree_changes), globals=tuple(global_changes),
+                status=tuple(status_changes))

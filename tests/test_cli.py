@@ -188,6 +188,28 @@ def test_train_rejects_unknown_agent_from_config(tinybox_path, tmp_path,
     assert "unknown agent 'alien'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", ["env_count=0", "step_cap=0",
+                                      "batch_size=-1", "rolling_window=0",
+                                      "max_episode_issues=0",
+                                      "max_env_steps=-5", "env_count=none"])
+def test_train_rejects_out_of_range_override(tinybox_path, override, capsys):
+    assert main(["train", tinybox_path, "--agent", "drrn", "--seed", "1",
+                 "--set", override]) == INPUT_ERROR
+    name = override.partition("=")[0]
+    assert f"error: {name} must be an integer" in capsys.readouterr().err
+
+
+def test_play_rejects_mistyped_game_file(tmp_path, capsys):
+    data = tinybox_dict()
+    data["objects"][2]["attributes"] = 7
+    path = tmp_path / "bad.game.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["play", str(path), "--seed", "1"]) == INPUT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert any(line.startswith("error:") and "attributes" in line
+               for line in err)
+
+
 def test_valid_actions_with_do_prefix(tinybox_path, capsys):
     rc = main(["valid-actions", tinybox_path, "--seed", "0",
                "--do", "open box"])

@@ -2,9 +2,12 @@
 
 import copy
 import json
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from textquest.engine import init_state
 from textquest.gamedefs import (GameFileError, GameValidationError,
                                 bundled_game_names, load_bundled, load_game,
                                 parse_game, save_game, serialize_game,
@@ -81,6 +84,82 @@ def test_parse_requires_title(tinybox_data):
     del data["title"]
     with pytest.raises(GameFileError, match="title"):
         parse_game(data)
+
+
+@pytest.mark.parametrize("where, value, message", [
+    (("objects", 2, "attributes"), 1, r"objects\[2\]\.attributes: expected a list"),
+    (("objects", 2, "names"), "box", r"objects\[2\]\.names: expected a list"),
+    (("objects", 2, "id"), "11", r"objects\[2\]\.id: expected an integer"),
+    (("objects", 2, "id"), True, r"objects\[2\]\.id: expected an integer"),
+    (("objects", 2), [], r"objects\[2\]: expected an object"),
+    (("grammar", 0, "effect"), None, r"grammar\[0\]\.effect: expected an"),
+    (("grammar", 0, "effect", "slot"), "1", r"effect\.slot: expected an int"),
+    (("grammar", 2, "preconditions", 0), "x", r"preconditions\[0\]: expected"),
+    (("score_rules", 0, "trigger", "kind"), 1, r"trigger\.kind: expected a"),
+    (("score_rules", 0, "points"), 1.5, r"points: expected an integer"),
+    (("exits",), [], r"exits: expected an object"),
+    (("traits",), {}, r"traits: expected a list"),
+    (("title",), None, r"title: expected a string"),
+])
+def test_parse_rejects_mistyped_fields(tinybox_data, where, value, message):
+    data = copy.deepcopy(tinybox_data)
+    node = data
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    with pytest.raises(GameFileError, match=message):
+        parse_game(data)
+
+
+def test_parse_rejects_non_integer_exit_room(tinybox_data):
+    data = copy.deepcopy(tinybox_data)
+    data["exits"] = {"hall": {"north": 1}}
+    with pytest.raises(GameFileError, match=r"exits\[hall\]"):
+        parse_game(data)
+
+
+def test_parse_allows_null_for_optional_fields(tinybox_data):
+    data = copy.deepcopy(tinybox_data)
+    data["inventory_limit"] = None
+    data["objects"][2]["key_id"] = None
+    assert parse_game(data).inventory_limit is None
+
+
+MAILHOUSE_JSON = json.loads(
+    (resources.files("textquest") / "games" / "mailhouse.game.json")
+    .read_text(encoding="utf-8"))
+
+
+def _json_paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+DELETE = object()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(list(_json_paths(MAILHOUSE_JSON))),
+       st.sampled_from([None, 1, -1, 0, 2 ** 40, True, 1.5, "x", "", [], [1],
+                        ["x"], {}, {"x": 1}, DELETE]))
+def test_single_field_mutation_raises_only_documented_errors(where, value):
+    data = copy.deepcopy(MAILHOUSE_JSON)
+    node = data
+    for key in where[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[where[-1]]
+    else:
+        node[where[-1]] = copy.deepcopy(value)
+    try:
+        game = parse_game(data)
+    except (GameFileError, GameValidationError):
+        return
+    # a file that parses must also start and snapshot
+    init_state(game, 0).snapshot().restore()
 
 
 # -- validation ----------------------------------------------------------------------

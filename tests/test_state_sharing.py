@@ -1,0 +1,163 @@
+"""Copies share immutable object nodes: purity of execute, node
+immutability, and the lazy parser and channel-skipping diff against their
+plain references in tests/helpers.py."""
+
+import dataclasses
+import random
+
+import pytest
+
+from helpers import reference_parse_command, reference_state_diff
+from textquest.engine import (execute, init_state, parse_command,
+                              visible_objects)
+from textquest.gamedefs import bundled_game_names, load_bundled
+from textquest.grammar import enumerate_candidates
+from textquest.world import ObjectNode, Snapshot, TreeError, state_diff
+
+GAMES = bundled_game_names()
+UNKNOWN_WORDS = ("xyzzy", "frob", "")
+
+
+def _names(game):
+    return sorted({n for obj in game.objects for n in obj.names})
+
+
+def _command(rng, state, game, templates):
+    """A random command: mostly fillings with visible nouns, sometimes any
+    noun the game knows or a word it does not."""
+    visible = sorted({state.tree.nodes[o].name
+                      for o in visible_objects(state, game)})
+    pool = visible if rng.random() < 0.8 else _names(game) + ["xyzzy"]
+    template = rng.choice(templates)
+    cands = list(enumerate_candidates([template], pool))
+    if not cands:
+        return rng.choice(UNKNOWN_WORDS)
+    return rng.choice(cands).surface
+
+
+def _walk(game, seed, steps, probes=2):
+    """Play `steps` commands, probing a few more against each state.
+
+    Half the steps take the walkthrough's next command, so walks get past
+    locked doors and dark rooms; the rest are random. Yields
+    (state, command, result) for every execute issued.
+    """
+    rng = random.Random(seed)
+    templates = list(game.templates())
+    state, progress = init_state(game, seed), 0
+    for _ in range(steps):
+        for _ in range(probes):
+            text = _command(rng, state, game, templates)
+            yield state, text, execute(state, game, text)
+        if rng.random() < 0.5 and progress < len(game.walkthrough):
+            text, progress = game.walkthrough[progress], progress + 1
+        else:
+            text = _command(rng, state, game, templates)
+        result = execute(state, game, text)
+        yield state, text, result
+        state = result.state
+        if state.done:
+            state, progress = init_state(game, seed), 0
+
+
+@pytest.mark.parametrize("name", GAMES)
+def test_execute_leaves_every_earlier_state_intact(name):
+    game = load_bundled(name)
+    kinds = set()
+    for seed in (3, 5):
+        seen = {}  # id -> (state, its encoding when first seen)
+        for state, text, result in _walk(game, seed, steps=80):
+            for st in (state, result.state):
+                seen.setdefault(id(st), (st, st.encode()))
+            kinds.update(c.field.split(":")[0] for c in result.diff.tree)
+            for st, data in seen.values():
+                assert st.encode() == data, f"'{text}' changed a state"
+    # the walks must reach both edit paths, or the check proves little
+    assert {"parent", "attr"} <= kinds
+
+
+def test_object_node_is_immutable():
+    node = ObjectNode(id=5, names=("lamp",), kind="item",
+                      attributes={"lightsource"})
+    assert node.attributes == frozenset({"lightsource"})
+    with pytest.raises(AttributeError):
+        node.attributes.add("lit")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        node.attributes = frozenset()
+
+
+def test_copies_share_nodes_until_set_attr():
+    state = init_state(load_bundled("mailhouse"), 0)
+    twin = state.copy()
+    obj = next(i for i, n in state.tree.nodes.items() if n.kind == "item")
+    assert twin.tree.nodes[obj] is state.tree.nodes[obj]
+    before = state.encode()
+    twin.tree.set_attr(obj, "open")
+    assert twin.tree.nodes[obj].has("open")
+    assert not state.tree.nodes[obj].has("open")
+    assert state.encode() == before
+    twin.tree.set_attr(obj, "open", on=False)
+    assert twin.encode() == before
+    with pytest.raises(TreeError):
+        twin.tree.set_attr(obj, "shiny")
+    with pytest.raises(TreeError):
+        twin.tree.set_attr(9999, "open")
+
+
+def test_player_id_survives_copy_and_decode():
+    game = load_bundled("cellarlight")
+    state = init_state(game, 0)
+    assert state.tree.player == game.player_id()
+    assert state.copy().tree.player == game.player_id()
+    assert Snapshot(state.encode()).restore().tree.player == game.player_id()
+
+
+@pytest.mark.parametrize("name", GAMES)
+def test_rules_by_length_keeps_authored_order(name):
+    game = load_bundled(name)
+    regrouped = [r for n in sorted(game.rules_by_length)
+                 for r in game.rules_by_length[n]]
+    assert sorted(regrouped, key=game.grammar.index) == list(game.grammar)
+    for n, rules in game.rules_by_length.items():
+        assert all(len(r.pattern.split()) == n for r in rules)
+        assert list(rules) == [r for r in game.grammar if r in rules]
+
+
+@pytest.mark.parametrize("name", GAMES)
+def test_lazy_parser_matches_eager_reference(name):
+    game = load_bundled(name)
+    rng = random.Random(11)
+    extra = ["take all", "look", "north", "open", "take the", "xyzzy",
+             "", "   ", "inventory please"] + list(game.walkthrough)
+    names = _names(game)
+    templates = list(game.templates())
+    checked = 0
+    for state, text, _ in _walk(game, seed=5, steps=40, probes=0):
+        texts = [text] + rng.sample(extra, 3)
+        texts += [c.surface for c in enumerate_candidates(
+            [rng.choice(templates)], rng.sample(names, min(4, len(names))))]
+        for t in texts:
+            assert parse_command(state, game, t) == \
+                reference_parse_command(state, game, t), t
+            checked += 1
+    assert checked > 200
+
+
+def test_state_diff_matches_full_scan_reference():
+    rng = random.Random(2)
+    pool = []
+    for name in GAMES:
+        walk = _walk(load_bundled(name), seed=9, steps=30, probes=0)
+        pool += [result.state for _, _, result in walk]
+    # decoded states share no nodes with anything, so every node compares
+    pool += [Snapshot(s.encode()).restore() for s in rng.sample(pool, 20)]
+    for s in rng.sample(pool, 10):
+        twin = s.copy()
+        twin.globals["quiet"] = 0  # an explicit zero equals an absent global
+        pool.append(twin)
+    pairs = [(a, b) for a, b in zip(pool, pool[1:])]
+    pairs += [tuple(rng.sample(pool, 2)) for _ in range(300)]
+    for a, b in pairs:
+        assert state_diff(a, b) == reference_state_diff(a, b)
+        assert state_diff(a, b).diff_hash() == \
+            reference_state_diff(a, b).diff_hash()

@@ -288,6 +288,33 @@ def test_checkpoint_version_mismatch(drrn_result, tmp_path):
         load_checkpoint(str(stale))
 
 
+@pytest.mark.parametrize("field, value", [("env_count", 0),
+                                          ("rolling_window", 0),
+                                          ("max_env_steps", -1),
+                                          ("batch_size", "8")])
+def test_checkpoint_rejects_out_of_range_train_config(drrn_result, tmp_path,
+                                                      field, value):
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(str(path), drrn_result)
+    bad = tmp_path / "bad.npz"
+    rewrite_checkpoint(path, bad, lambda meta: meta["train_config"].update(
+        {field: value}))
+    with pytest.raises(CheckpointError, match=field):
+        load_checkpoint(str(bad))
+
+
+@pytest.mark.parametrize("field, value", [("env_count", 0), ("step_cap", 0),
+                                          ("batch_size", 0),
+                                          ("rolling_window", -3),
+                                          ("max_episode_issues", 0),
+                                          ("max_env_steps", -1),
+                                          ("env_count", None)])
+def test_train_config_rejects_out_of_range_counts(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+    assert getattr(TrainConfig(max_env_steps=0), "max_env_steps") == 0
+
+
 def test_checkpoint_rejects_foreign_files(tmp_path):
     plain = tmp_path / "plain.npz"
     with open(plain, "wb") as fh:

@@ -101,6 +101,40 @@ def test_validate_catches_unreachable_nodes(state):
         tree.validate()
 
 
+class _BoundedLinks(dict):
+    """A link map that fails the test rather than feed an endless walk."""
+
+    def __init__(self, links, limit=1000):
+        super().__init__(links)
+        self.reads, self.limit = 0, limit
+
+    def __getitem__(self, key):
+        self.reads += 1
+        if self.reads > self.limit:
+            pytest.fail("the walk did not stop")
+        return super().__getitem__(key)
+
+
+def test_looping_sibling_chain_raises_tree_error(state):
+    tree = state.tree.copy()
+    tree.sibling = _BoundedLinks(tree.sibling)
+    tree.first_child = _BoundedLinks(tree.first_child)
+    tree.sibling[13] = 10  # the room's chain 10, 11, 13 runs back to 10
+    with pytest.raises(TreeError):
+        tree.children(1)
+    with pytest.raises(TreeError):
+        list(tree.descendants(0))
+
+
+def test_looping_child_links_stop_descendants(state):
+    tree = state.tree.copy()
+    tree.first_child = _BoundedLinks(tree.first_child)
+    tree.sibling = _BoundedLinks(tree.sibling)
+    tree.first_child[13] = 1  # the pebble "contains" the room it lies in
+    with pytest.raises(TreeError):
+        list(tree.descendants(0))
+
+
 def test_universe_root_is_reserved(state):
     assert state.tree.nodes[0].kind == universe_node().kind
     with pytest.raises(TreeError):
@@ -248,7 +282,7 @@ def test_attribute_bit_order_is_sorted():
 
 def test_attribute_changes_hash_differently(state):
     twin = state.copy()
-    twin.tree.nodes[11].attributes.add("open")
+    twin.tree.set_attr(11, "open")
     assert twin.state_hash() != state.state_hash()
     assert twin.situation_hash() != state.situation_hash()
 
@@ -290,7 +324,7 @@ def test_diff_status_channel(state):
 
 def test_diff_attr_channel(state):
     twin = state.copy()
-    twin.tree.nodes[11].attributes.add("open")
+    twin.tree.set_attr(11, "open")
     diff = state_diff(state, twin)
     assert diff.tree == ((11, "attr:open", False, True),)
 

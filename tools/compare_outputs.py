@@ -11,21 +11,62 @@ and prints a JSON digest of their outputs:
   steps, seed 3): the learning curve, a hash of the final parameters, the
   update count, the early-stop step and three evaluation episodes;
 * `bench.run_benchmark` over every bundled game at seeds 1 and 17;
-* random-agent training curves on tinybox and mailhouse.
+* random-agent training curves on tinybox and mailhouse;
+* `sim`: every bundled game at seeds 1, 2 and 3 played for 60
+  explore-style turns (observation, identify_valid_actions, a seeded pick,
+  step, save, now and then a load of an earlier snapshot), digesting the
+  observation channels, the valid-action surfaces and diff hashes, the step
+  results and the snapshot bytes.
 
-Learner and benchmark outputs must match byte for byte. A random curve may
-differ only by the new checkout dropping a final episode that the old one
-recorded when the step budget ran out, i.e. one that had not ended. Exits 0
-when every job agrees, 1 otherwise. Takes about a minute per checkout.
+Learner, benchmark and simulator outputs must match byte for byte. A
+random curve may differ only by the new checkout dropping a final episode
+that the old one recorded when the step budget ran out, i.e. one that had
+not ended. Exits 0 when every job agrees, 1 otherwise. Takes about a
+minute per checkout.
 """
 
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
 RANDOM_BUDGETS = (("tiny", 400), ("tiny", 1200), ("mail", 3000))
+SIM_SEEDS = (1, 2, 3)
+SIM_TURNS = 60
+
+
+def sim(game, seed: int) -> str:
+    """Digest of SIM_TURNS explore-style turns of `game` from `seed`."""
+    from textquest.env import Environment
+
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+
+    def add(value) -> None:
+        digest.update(value if isinstance(value, bytes) else
+                      repr(value).encode())
+
+    env = Environment(game)
+    env.reset(seed=seed)
+    saved = []
+    for _ in range(SIM_TURNS):
+        obs = env.observation()
+        add((obs.narrative, obs.inventory, obs.description, obs.prev_action))
+        valid = env.identify_valid_actions()
+        add((valid.surfaces, valid.diff_hashes))
+        pick = rng.choice(valid.surfaces or ("look",))
+        add(env.step(pick))
+        snapshot = env.save()
+        add(snapshot.data)
+        if env.done:
+            env.reset(seed=seed)
+            continue
+        saved.append(snapshot)
+        if rng.random() < 0.05:
+            env.load(rng.choice(saved))
+    return digest.hexdigest()
 
 
 def dump(root: str) -> dict:
@@ -74,6 +115,9 @@ def dump(root: str) -> dict:
     bundled = {name: load_bundled(name) for name in bundled_game_names()}
     for seed in (1, 17):
         out[f"bench-{seed}"] = bench.run_benchmark(bundled, seed).to_json()
+    for name, game in bundled.items():
+        for seed in SIM_SEEDS:
+            out[f"sim-{name}-{seed}"] = sim(game, seed)
     for name, steps in RANDOM_BUDGETS:
         for seed in (1, 2):
             cfg = TrainConfig(agent="random", max_env_steps=steps)
