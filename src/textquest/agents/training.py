@@ -32,7 +32,11 @@ blocks, the tokenizer, and every parameter tensor.
 from __future__ import annotations
 
 import json
+import lzma
 import time
+import tokenize
+import zipfile
+import zlib
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -56,6 +60,11 @@ CANONICAL_ACTIONS = ("north", "south", "east", "west", "up", "down", "look",
                      "inventory", "take all", "drop", "yes")
 
 CHECKPOINT_VERSION = 1
+# what numpy's .npz reader can raise on damaged bytes (NotImplementedError,
+# for an unknown compression method, is a RuntimeError)
+_ARCHIVE_ERRORS = (OSError, ValueError, EOFError, RuntimeError, SyntaxError,
+                   tokenize.TokenError, zipfile.BadZipFile, zlib.error,
+                   lzma.LZMAError)
 _META_KEYS = ("agent", "train_config", "model_config", "tokenizer_words",
               "tokenizer_max_len", "templates", "words", "env_steps",
               "updates")
@@ -262,8 +271,8 @@ def load_checkpoint(path: str) -> Checkpoint:
             meta = json.loads(str(archive["meta"][()]))
             params = {key[2:]: archive[key] for key in archive.files
                       if key.startswith("p:")}
-    except (OSError, ValueError) as exc:
-        raise CheckpointError(f"cannot read checkpoint '{path}': {exc}") \
+    except _ARCHIVE_ERRORS as exc:
+        raise CheckpointError(f"cannot read checkpoint '{path}': {exc!r}") \
             from exc
     if not isinstance(meta, dict):
         raise CheckpointError("checkpoint metadata is not a JSON object")
@@ -294,6 +303,8 @@ def load_checkpoint(path: str) -> Checkpoint:
             {k: (v.shape, v.dtype) for k, v in expected.items()}:
         raise CheckpointError("checkpoint parameters do not match its "
                               "model_config and tokenizer")
+    if not all(np.isfinite(v).all() for v in params.values()):
+        raise CheckpointError("checkpoint parameters are not all finite")
     return checkpoint
 
 

@@ -1,7 +1,12 @@
 """Ground-truth simulator: parses commands, applies effects, awards score.
 
 `execute` is pure: it never touches the input state, and the same
-(state, command) pair always produces the same result. All gameplay rules
+(state, command) pair always produces the same result. It copies the state
+only once an effect applies, at its first edit, so a rejected command
+copies nothing. A `Situation` is a read-only view of one state that holds
+what every command parsed against that state shares (the visible objects,
+the noun map, the score triggers' values), so a valid-action sweep computes
+them once. All gameplay rules
 funnel through the ten effect kinds in grammar.EFFECT_KINDS plus a small set
 of engine guards (you cannot open what is locked, carry past the inventory
 limit, or put a box inside itself) so authored games stay declarative.
@@ -158,11 +163,56 @@ def visible_objects(state: WorldState, game: GameDef) -> list[int]:
 
 def extract_nouns(text: str, game: GameDef) -> list[str]:
     """Tokens of `text` that name some non-room object, sorted and unique."""
-    names: set[str] = set()
-    for obj in game.objects:
-        if obj.kind in ("item", "scenery"):
-            names.update(obj.names)
-    return sorted(set(tokenize(text)) & names)
+    return sorted(game.nouns.intersection(tokenize(text)))
+
+
+class _once:
+    """functools.cached_property without the lock that Python 3.11 takes on
+    every first access, which costs a fresh Situation more than it saves."""
+
+    def __init__(self, fn) -> None:
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
+class Situation:
+    """Read-only view of one state, shared by every command run against it.
+
+    Each value is computed on first use. The state must not change while
+    the view is in use; `execute` never changes its input state.
+    """
+
+    def __init__(self, state: WorldState, game: GameDef) -> None:
+        self.state = state
+        self.game = game
+        self._triggers: dict[int, bool] = {}
+
+    @_once
+    def visible(self) -> list[int]:
+        return visible_objects(self.state, self.game)
+
+    @_once
+    def nouns(self) -> dict[str, int]:
+        """Name -> visible object; the lowest id wins a shared name."""
+        nodes = self.state.tree.nodes
+        out: dict[str, int] = {}
+        for obj in self.visible:
+            for name in nodes[obj].names:
+                out.setdefault(name, obj)
+        return out
+
+    def trigger_was_active(self, idx: int) -> bool:
+        """Whether score rule `idx`'s trigger holds in this state."""
+        if idx not in self._triggers:
+            self._triggers[idx] = _trigger_active(
+                self.state, self.game, self.game.score_rules[idx].trigger,
+                None)
+        return self._triggers[idx]
 
 
 # -- parsing -------------------------------------------------------------------
@@ -180,33 +230,26 @@ def parse_command(state: WorldState, game: GameDef,
     yields UNPARSEABLE. The visible-noun map is built only once a pattern
     reaches an object slot.
     """
-    return _parse(state, game, text)[0]
+    return _parse(Situation(state, game), text)[0]
 
 
-def _parse(state: WorldState, game: GameDef, text: str
+def _parse(ctx: Situation, text: str
            ) -> tuple[ParseOutcome, GrammarRule | None, bool]:
     """parse_command's outcome, plus the chosen rule and whether its
     preconditions hold."""
     words = tokenize(text)
     if not words:
         return ParseOutcome(ParseKind.UNPARSEABLE), None, False
-    name_map: dict[str, int] | None = None
     saw_pattern = False
     first_resolved = None
-    for rule in game.rules_by_length.get(len(words), ()):
+    for rule in ctx.game.rules_by_length.get(len(words), ()):
         bound: list[int] = []
         matched = True
         resolved = True
         for p, w in zip(rule.tokens, words):
             if p == SLOT:
-                if name_map is None:
-                    name_map = {}
-                    for obj in visible_objects(state, game):
-                        for name in state.tree.nodes[obj].names:
-                            # lowest id wins when visible objects share a name
-                            name_map.setdefault(name, obj)
-                if w in name_map:
-                    bound.append(name_map[w])
+                if w in ctx.nouns:
+                    bound.append(ctx.nouns[w])
                 else:
                     resolved = False
             elif p != w:
@@ -219,7 +262,8 @@ def _parse(state: WorldState, game: GameDef, text: str
             continue
         outcome = ParseOutcome(ParseKind.RESOLVED, rule_id=rule.id,
                                objects=tuple(bound))
-        if check_preconditions(state, game, rule, outcome.objects)[0]:
+        if check_preconditions(ctx.state, ctx.game, rule, outcome.objects,
+                               ctx):
             return outcome, rule, True
         if first_resolved is None:
             first_resolved = outcome, rule, False
@@ -239,8 +283,9 @@ def _target(pre_slot: int | None, pre_obj: int | None,
     return None
 
 
-def _precondition_holds(state: WorldState, game: GameDef, pre: Precondition,
+def _precondition_holds(ctx: Situation, pre: Precondition,
                         objects: tuple[int, ...]) -> bool:
+    state, game = ctx.state, ctx.game
     tree = state.tree
     player = player_id(state)
     kind = pre.kind
@@ -265,7 +310,7 @@ def _precondition_holds(state: WorldState, game: GameDef, pre: Precondition,
     if kind in ("has_attr", "lacks_attr"):
         return node.has(pre.attr or "") == (kind == "has_attr")
     if kind == "visible":
-        return obj in visible_objects(state, game)
+        return obj in ctx.visible
     if kind == "capacity_ok":
         return node.capacity is None or \
             len(tree.children(obj)) < node.capacity
@@ -276,11 +321,13 @@ def _precondition_holds(state: WorldState, game: GameDef, pre: Precondition,
 
 
 def check_preconditions(state: WorldState, game: GameDef, rule: GrammarRule,
-                        objects: tuple[int, ...]) -> tuple[bool, str]:
+                        objects: tuple[int, ...],
+                        ctx: Situation | None = None) -> bool:
+    ctx = ctx or Situation(state, game)
     for pre in rule.preconditions:
-        if not _precondition_holds(state, game, pre, objects):
-            return False, rule.failure_text or MSG_CANT
-    return True, ""
+        if not _precondition_holds(ctx, pre, objects):
+            return False
+    return True
 
 
 # -- rendering -----------------------------------------------------------------
@@ -363,20 +410,34 @@ class _Failure(Exception):
 
 
 def _apply_effect(state: WorldState, game: GameDef, rule: GrammarRule,
-                  objects: tuple[int, ...]) -> str:
-    """Mutates `state`; returns the success text or raises _Failure."""
+                  objects: tuple[int, ...]) -> tuple[str, WorldState]:
+    """Returns the success text and the new state, or raises _Failure.
+
+    `state` is only read: it is copied at the first edit, so a failing
+    effect copies nothing.
+    """
     eff = rule.effect
     tree = state.tree
     player = player_id(state)
+    # the object the effect acts on, where it names one
+    target = _target(eff.slot, eff.obj, objects, 1)
+    node = tree.nodes.get(target)
     fail_text = rule.failure_text
+    after: WorldState | None = None
+
+    def edit() -> WorldState:
+        nonlocal after
+        if after is None:
+            after = state.copy()
+        return after
 
     def fail(default: str) -> _Failure:
         return _Failure(fail_text or default)
 
-    def success(default: str) -> str:
+    def success(default: str) -> tuple[str, WorldState]:
         if rule.text is not None:
-            return _fmt(rule.text, tree, objects)
-        return default
+            return _fmt(rule.text, tree, objects), edit()
+        return default, edit()
 
     if eff.kind == "move-player":
         room = player_room(state)
@@ -387,48 +448,44 @@ def _apply_effect(state: WorldState, game: GameDef, rule: GrammarRule,
             door = tree.nodes[passage.requires_open]
             if not door.has("open"):
                 raise fail(f"The {door.name} is closed.")
-        tree.reparent(player, passage.to)
-        return success(render_room(state, game, passage.to))
+        edit().tree.reparent(player, passage.to)
+        return success(render_room(edit(), game, passage.to))
 
     if eff.kind == "reparent-to-player":
+        limit = game.inventory_limit
+        carried = len(tree.children(player))
         if eff.slot is None and eff.obj is None:
             # sweep: take everything takeable in sight
-            limit = game.inventory_limit
             lines = []
             for obj in visible_objects(state, game):
                 node = tree.nodes[obj]
                 if not node.has("takeable") or tree.parent[obj] == player:
                     continue
-                if limit is not None and len(tree.children(player)) >= limit:
+                if limit is not None and carried >= limit:
                     lines.append("You're carrying too much already.")
                     break
-                tree.reparent(obj, player)
+                edit().tree.reparent(obj, player)
+                carried += 1
                 lines.append(f"{node.name}: Taken.")
             if not lines:
                 raise fail("There is nothing here to take.")
             return success(" ".join(lines))
-        target = _target(eff.slot, eff.obj, objects, 1)
-        node = tree.nodes[target]
         if tree.parent[target] == player:
             raise fail("You already have that.")
         if not node.has("takeable"):
             raise fail("You can't take that.")
-        limit = game.inventory_limit
-        if limit is not None and len(tree.children(player)) >= limit:
+        if limit is not None and carried >= limit:
             raise fail("You're carrying too much already.")
-        tree.reparent(target, player)
+        edit().tree.reparent(target, player)
         return success("Taken.")
 
     if eff.kind == "reparent-to-floor":
-        target = _target(eff.slot, eff.obj, objects, 1)
         if tree.parent[target] != player:
             raise fail("You aren't carrying that.")
-        tree.reparent(target, player_room(state))
+        edit().tree.reparent(target, player_room(state))
         return success("Dropped.")
 
     if eff.kind == "set-attribute":
-        target = _target(eff.slot, eff.obj, objects, 1)
-        node = tree.nodes[target]
         attr = eff.attr or ""
         if node.has(attr):
             raise fail(f"The {node.name} is already {attr}." if attr in
@@ -438,7 +495,7 @@ def _apply_effect(state: WorldState, game: GameDef, rule: GrammarRule,
                 raise fail("You can't open that.")
             if node.has("locked"):
                 raise fail(f"The {node.name} is locked.")
-            tree.set_attr(target, attr)
+            edit().tree.set_attr(target, attr)
             inside = tree.children(target)
             if inside:
                 return success(f"Opening the {node.name} reveals "
@@ -446,40 +503,35 @@ def _apply_effect(state: WorldState, game: GameDef, rule: GrammarRule,
             return success(f"You open the {node.name}.")
         if attr == "lit" and not node.has("lightsource"):
             raise fail("You can't light that.")
-        tree.set_attr(target, attr)
+        edit().tree.set_attr(target, attr)
         return success(f"You turn on the {node.name}." if attr == "lit"
                        else "Done.")
 
     if eff.kind == "clear-attribute":
-        target = _target(eff.slot, eff.obj, objects, 1)
-        node = tree.nodes[target]
         attr = eff.attr or ""
         if not node.has(attr):
             raise fail("Nothing happens.")
-        tree.set_attr(target, attr, on=False)
+        edit().tree.set_attr(target, attr, on=False)
         verb = {"open": "You close", "lit": "You turn off"}.get(attr)
         return success(f"{verb} the {node.name}." if verb else "Done.")
 
     if eff.kind == "unlock-with":
-        target = _target(eff.slot, eff.obj, objects, 1)
         key = _target(eff.slot2, None, objects, 2)
-        node = tree.nodes[target]
         if not node.has("locked"):
             raise fail(f"The {node.name} isn't locked.")
         if key is None or node.key_id != key:
             raise fail(f"The {tree.nodes[key].name} doesn't fit."
                        if key is not None else "Nothing to unlock with.")
-        tree.set_attr(target, "locked", on=False)
+        edit().tree.set_attr(target, "locked", on=False)
         return success(f"You unlock the {node.name} with "
                        f"the {tree.nodes[key].name}.")
 
     if eff.kind == "put-in":
-        item = _target(eff.slot, eff.obj, objects, 1)
         box = _target(eff.slot2, None, objects, 2)
         if box is None:
             raise fail("Put it in what?")
-        inode, bnode = tree.nodes[item], tree.nodes[box]
-        if tree.parent[item] != player:
+        bnode = tree.nodes[box]
+        if tree.parent[target] != player:
             raise fail("You aren't carrying that.")
         if not bnode.has("container"):
             raise fail(f"You can't put things in the {bnode.name}.")
@@ -488,18 +540,16 @@ def _apply_effect(state: WorldState, game: GameDef, rule: GrammarRule,
         if bnode.capacity is not None and \
                 len(tree.children(box)) >= bnode.capacity:
             raise fail(f"There's no more room in the {bnode.name}.")
-        if tree.in_subtree(box, item):
+        if tree.in_subtree(box, target):
             raise fail("You can't put something inside itself.")
-        tree.reparent(item, box)
-        return success(f"You put the {inode.name} in the {bnode.name}.")
+        edit().tree.reparent(target, box)
+        return success(f"You put the {node.name} in the {bnode.name}.")
 
     if eff.kind == "toggle-light":
-        target = _target(eff.slot, eff.obj, objects, 1)
-        node = tree.nodes[target]
         if not node.has("lightsource"):
             raise fail("You can't light that.")
         lit = node.has("lit")
-        tree.set_attr(target, "lit", on=not lit)
+        edit().tree.set_attr(target, "lit", on=not lit)
         return success(f"You turn {'off' if lit else 'on'} the {node.name}.")
 
     if eff.kind == "emit-text":
@@ -509,8 +559,6 @@ def _apply_effect(state: WorldState, game: GameDef, rule: GrammarRule,
             return success(render_room(state, game))
         if eff.source == "inventory":
             return success(render_inventory(state, game))
-        target = _target(eff.slot, eff.obj, objects, 1)
-        node = tree.nodes[target]
         if eff.source == "object_text":
             return success(node.text or
                            f"You see nothing special about the {node.name}.")
@@ -523,7 +571,7 @@ def _apply_effect(state: WorldState, game: GameDef, rule: GrammarRule,
     if eff.kind == "set-global":
         name = eff.name or ""
         old = state.globals.get(name, 0)
-        state.globals[name] = old + (eff.value or 0) if eff.add \
+        edit().globals[name] = old + (eff.value or 0) if eff.add \
             else (eff.value or 0)
         return success("Done.")
 
@@ -567,7 +615,7 @@ def _trigger_active(state: WorldState, game: GameDef, trigger: Trigger,
     raise EngineError(f"unknown trigger kind '{trigger.kind}'")
 
 
-def _award_score(before: WorldState, after: WorldState, game: GameDef,
+def _award_score(before: Situation, after: WorldState, game: GameDef,
                  executed_rule: str) -> list[str]:
     """Fire edge-triggered score rules; mutates `after`. Returns notices."""
     notices = []
@@ -579,7 +627,7 @@ def _award_score(before: WorldState, after: WorldState, game: GameDef,
         if not now:
             continue
         if sr.trigger.kind != "action_pattern" and \
-                _trigger_active(before, game, sr.trigger, None):
+                before.trigger_was_active(idx):
             continue  # was already true; not an edge
         after.score += sr.points
         if sr.once:
@@ -602,14 +650,20 @@ def _award_score(before: WorldState, after: WorldState, game: GameDef,
 # -- top-level step ------------------------------------------------------------
 
 
-def execute(state: WorldState, game: GameDef, text: str) -> CommandResult:
+def execute(state: WorldState, game: GameDef, text: str,
+            ctx: Situation | None = None) -> CommandResult:
     """Run one command. Pure: returns a new state, never mutates the input.
 
     The moves counter increments exactly when the command is accepted, i.e.
     it parsed to a rule whose preconditions held and whose effect applied.
-    Rejected commands return the input state object unchanged.
+    Rejected commands return the input state object unchanged. `ctx`, a
+    Situation of this same state and game, lets many commands share it.
     """
-    outcome, rule, ok = _parse(state, game, text)
+    if ctx is None:
+        ctx = Situation(state, game)
+    elif ctx.state is not state or ctx.game is not game:
+        raise EngineError("the situation belongs to another state or game")
+    outcome, rule, ok = _parse(ctx, text)
     if rule is None:
         message = MSG_UNRESOLVED if outcome.kind is ParseKind.UNRESOLVED \
             else MSG_UNPARSEABLE
@@ -617,14 +671,13 @@ def execute(state: WorldState, game: GameDef, text: str) -> CommandResult:
     if not ok:
         return CommandResult(state, rule.failure_text or MSG_CANT, outcome,
                              False, 0, Diff())
-    after = state.copy()
     try:
-        text_out = _apply_effect(after, game, rule, outcome.objects)
+        text_out, after = _apply_effect(state, game, rule, outcome.objects)
     except _Failure as failure:
         return CommandResult(state, failure.message, outcome, False, 0,
                              Diff())
     after.moves += 1
-    notices = _award_score(state, after, game, rule.id)
+    notices = _award_score(ctx, after, game, rule.id)
     if notices:
         text_out = " ".join([text_out] + notices)
     return CommandResult(after, text_out, outcome, True,

@@ -256,11 +256,13 @@ class Environment:
 
         With the object_tree handicap this reads the world tree; without it,
         nouns are extracted from the current narrative text."""
-        state = self._require_started()
+        return self._fillers(engine.Situation(self._require_started(),
+                                              self.game))
+
+    def _fillers(self, ctx: engine.Situation) -> list[str]:
         if self.handicaps.object_tree:
-            names = {state.tree.nodes[obj].name
-                     for obj in engine.visible_objects(state, self.game)}
-            return sorted(names)
+            nodes = ctx.state.tree.nodes
+            return sorted({nodes[obj].name for obj in ctx.visible})
         return engine.extract_nouns(self._narrative, self.game)
 
     def observation(self) -> AugmentedObservation:
@@ -271,10 +273,11 @@ class Environment:
         live episode never sees the probe; they need load_save."""
         state = self._require_started()
         if self.handicaps.load_save:
-            inventory = engine.execute(state, self.game,
-                                       "inventory").observation
-            description = engine.execute(state, self.game,
-                                         "look").observation
+            ctx = engine.Situation(state, self.game)
+            inventory = engine.execute(state, self.game, "inventory",
+                                       ctx).observation
+            description = engine.execute(state, self.game, "look",
+                                         ctx).observation
         else:
             inventory = ""
             description = ""
@@ -285,25 +288,22 @@ class Environment:
             prev_action=self._prev_action,
         )
 
-    def gather_augmented_observation(self) -> AugmentedObservation:
-        self._require("load_save")
-        return self.observation()
-
     def identify_valid_actions(self, objects: list[str] | None = None,
                                dedup: bool = False) -> ValidActionSet:
         """Probe every template filling and keep those that changed the tree.
 
-        Probes run against scratch copies, so the live state hash is
-        identical before and after. Fillers default to interactive_objects().
-        Results are cached per (situation, fillers) because validity depends
-        on neither the move counter nor the score.
+        Probes never change the live state, so its hash is identical before
+        and after; they share one engine.Situation of it. Fillers default to
+        interactive_objects(). Results are cached per (situation, fillers)
+        because validity depends on neither the move counter nor the score.
         """
         self._require("valid_action_detection")
         state = self._require_started()
         if state.done:
             return ValidActionSet((), ())
+        ctx = engine.Situation(state, self.game)
         if objects is None:
-            objects = self.interactive_objects()
+            objects = self._fillers(ctx)
         key = (state.situation_hash(), tuple(objects), dedup)
         hit = self._cache.get(key)
         if hit is not None:
@@ -312,7 +312,7 @@ class Environment:
         hashes: list[int] = []
         seen_diffs: dict[int, str] = {}
         for cand in enumerate_candidates(self._templates, objects):
-            result = engine.execute(state, self.game, cand.surface)
+            result = engine.execute(state, self.game, cand.surface, ctx)
             if not result.diff.tree:
                 continue
             dh = result.diff.diff_hash()
@@ -328,13 +328,6 @@ class Environment:
 
 
 # -- transcripts -----------------------------------------------------------------
-
-
-def augmented_text(obs: AugmentedObservation) -> str:
-    """Single-line observation text with the extra channels appended."""
-    if obs.inventory or obs.description:
-        return f"{obs.narrative} Inv: {obs.inventory} Desc: {obs.description}"
-    return obs.narrative
 
 
 def format_transcript_block(t: int, observation: str, action: str,

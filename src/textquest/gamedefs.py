@@ -109,15 +109,19 @@ class GameDef:
             out.setdefault(len(rule.tokens), []).append(rule)
         return {n: tuple(rules) for n, rules in out.items()}
 
+    @cached_property
+    def nouns(self) -> frozenset[str]:
+        """Every name of an item or scenery object."""
+        return frozenset(name for obj in self.objects
+                         if obj.kind in ("item", "scenery")
+                         for name in obj.names)
+
     def templates(self) -> tuple[gr.Template, ...]:
         return gr.extract_templates(self.grammar)
 
     def vocabulary(self) -> gr.Vocabulary:
         names = [n for obj in self.objects for n in obj.names]
         return gr.build_vocabulary(self.grammar, names)
-
-    def object_map(self) -> dict[int, ObjectNode]:
-        return {o.id: o for o in self.objects}
 
     def player_id(self) -> int:
         for obj in self.objects:
@@ -169,15 +173,25 @@ def _items(data: dict, key: str, path: str, want: type,
                  for i, v in enumerate(items))
 
 
+def _known(data, path: str, what: str, keys) -> dict:
+    """`data` if it is a JSON object whose every key is one of `keys`."""
+    data = _typed(data, dict, path)
+    extra = set(data).difference(keys)
+    if extra:
+        raise GameFileError(f"{path}: unknown {what} field(s) {sorted(extra)}")
+    return data
+
+
+def _names(cls, *more: str) -> list[str]:
+    return [f.name for f in fields(cls)] + list(more)
+
+
 def _record(cls, data, path: str, what: str, **nested):
     """Build a flat record class from a JSON object: unknown fields are
     rejected, `kind` is required, and values must match the annotations."""
-    data = _typed(data, dict, path)
+    data = _known(data, path, what, _names(cls))
     types = {f.name: _FIELD_TYPE[f.type] for f in fields(cls)
              if f.name not in nested}
-    extra = set(data) - set(types) - set(nested)
-    if extra:
-        raise GameFileError(f"{path}: unknown {what} field(s) {sorted(extra)}")
     _field(data, "kind", path, str)
     values = {}
     for key, value in data.items():
@@ -188,7 +202,7 @@ def _record(cls, data, path: str, what: str, **nested):
 
 
 def _decode_object(data, path: str) -> tuple[ObjectNode, int | None]:
-    data = _typed(data, dict, path)
+    data = _known(data, path, "object", _names(ObjectNode, "parent"))
     node = ObjectNode(
         id=_field(data, "id", path, int),
         names=_items(data, "names", path, str),
@@ -203,7 +217,7 @@ def _decode_object(data, path: str) -> tuple[ObjectNode, int | None]:
 
 
 def _decode_rule(data, path: str) -> gr.GrammarRule:
-    data = _typed(data, dict, path)
+    data = _known(data, path, "grammar rule", _names(gr.GrammarRule))
     return gr.GrammarRule(
         id=_field(data, "id", path, str),
         pattern=_field(data, "pattern", path, str),
@@ -220,7 +234,7 @@ def _decode_rule(data, path: str) -> gr.GrammarRule:
 
 
 def _decode_score_rule(data, path: str) -> ScoreRule:
-    data = _typed(data, dict, path)
+    data = _known(data, path, "score rule", _names(ScoreRule))
     tpath = f"{path}.trigger"
     tdata = _field(data, "trigger", path, dict)
     conditions = tuple(
@@ -237,6 +251,7 @@ def _decode_score_rule(data, path: str) -> ScoreRule:
 
 def _decode_exit(value, path: str) -> Exit:
     if isinstance(value, dict):
+        value = _known(value, path, "exit", _names(Exit))
         return Exit(to=_field(value, "to", path, int),
                     requires_open=_field(value, "requires_open", path, int,
                                          None))
@@ -271,6 +286,8 @@ def parse_game(data: dict, source: str = "<data>") -> GameDef:
         raise GameFileError(
             f"{source}: unsupported format_version {version} "
             f"(this build reads version {FORMAT_VERSION})")
+    _known(data, source, "game", [k for k in _names(GameDef)
+                                  if k != "parents"])
     objects = []
     parents: dict[int, int] = {}
     for i, odata in enumerate(_field(data, "objects", source, list, ())):

@@ -52,11 +52,6 @@ class SplitMix64:
             raise IndexError("choice from an empty sequence")
         return seq[self.randrange(len(seq))]
 
-    def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            items[i], items[j] = items[j], items[i]
-
     def fork(self) -> "SplitMix64":
         """Derive an independent child stream."""
         return SplitMix64(self.next_u64())

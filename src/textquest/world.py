@@ -9,7 +9,9 @@ Object nodes are immutable, so copies of a tree share them: copying a state
 copies four link/node dicts and the globals, never a node. Every edit goes
 through `WorldObjectTree.reparent` (links) or `WorldObjectTree.set_attr`
 (which swaps in a new node), so an edit to a copy never reaches the states
-it shares nodes with.
+it shares nodes with. For the same reason each node caches its own snapshot
+record bytes (`ObjectNode.record`): the cache cannot go stale, copies share
+it, and encoding a state joins those bytes with each node's three links.
 
 Sibling chains are kept in ascending-id order at all times. Child order is
 therefore derived from the parent map, which keeps three contracts mutually
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from hashlib import blake2b
 from typing import Iterator, NamedTuple
 
@@ -45,6 +48,8 @@ ATTRIBUTES = (
     "takeable",
 )
 _ATTR_BIT = {name: 1 << i for i, name in enumerate(ATTRIBUTES)}
+
+_pack_links = struct.Struct("<iii").pack  # parent, first child, sibling
 
 SNAPSHOT_MAGIC = b"TQSS"
 SNAPSHOT_VERSION = 1
@@ -86,6 +91,30 @@ class ObjectNode:
 
     def has(self, attr: str) -> bool:
         return attr in self.attributes
+
+    @cached_property
+    def record(self) -> bytes:
+        """This node's version 1 snapshot record, all but the links: id,
+        kind, names, attribute mask, key, capacity, text and read text."""
+        mask = 0
+        for attr in self.attributes:
+            mask |= _ATTR_BIT[attr]
+        parts = [struct.pack("<IBB", self.id, KINDS.index(self.kind),
+                             len(self.names))]
+        for name in self.names:
+            raw = name.encode("utf-8")
+            parts += (struct.pack("<H", len(raw)), raw)
+        raw = self.text.encode("utf-8")
+        parts += (struct.pack("<HiiI", mask,
+                              -1 if self.key_id is None else self.key_id,
+                              -1 if self.capacity is None else self.capacity,
+                              len(raw)), raw)
+        if self.read_text is None:
+            parts.append(b"\0")
+        else:
+            raw = self.read_text.encode("utf-8")
+            parts += (struct.pack("<BI", 1, len(raw)), raw)
+        return b"".join(parts)
 
 
 def universe_node() -> ObjectNode:
@@ -145,18 +174,6 @@ class WorldObjectTree:
             out.append(child)
             child = sibling[child]
         raise TreeError(f"sibling chain of {obj} loops")
-
-    def descendants(self, obj: int) -> Iterator[int]:
-        """Yield every node strictly below `obj`, depth first."""
-        stack = self.children(obj)[::-1]
-        budget = len(self.nodes)
-        while stack:
-            cur = stack.pop()
-            budget -= 1
-            if budget < 0:
-                raise TreeError(f"subtree of {obj} loops")
-            yield cur
-            stack.extend(self.children(cur)[::-1])
 
     def ancestors(self, obj: int) -> Iterator[int]:
         cur = self.parent[obj]
@@ -312,35 +329,16 @@ class WorldState:
         flags = (1 if include_counters else 0) | (2 if include_rng else 0)
         parts = [SNAPSHOT_MAGIC, struct.pack("<BB", SNAPSHOT_VERSION, flags)]
         tree = self.tree
-        parts.append(struct.pack("<I", len(tree.nodes)))
-        for obj_id in sorted(tree.nodes):
-            node = tree.nodes[obj_id]
-            mask = 0
-            for attr in node.attributes:
-                mask |= _ATTR_BIT[attr]
-            parts.append(struct.pack("<IBB", obj_id,
-                                     KINDS.index(node.kind), len(node.names)))
-            for name in node.names:
-                raw = name.encode("utf-8")
-                parts.append(struct.pack("<H", len(raw)))
-                parts.append(raw)
-            parts.append(struct.pack(
-                "<Hii", mask,
-                -1 if node.key_id is None else node.key_id,
-                -1 if node.capacity is None else node.capacity))
-            raw = node.text.encode("utf-8")
-            parts.append(struct.pack("<I", len(raw)))
-            parts.append(raw)
-            if node.read_text is None:
-                parts.append(struct.pack("<B", 0))
-            else:
-                raw = node.read_text.encode("utf-8")
-                parts.append(struct.pack("<BI", 1, len(raw)))
-                parts.append(raw)
-            links = (tree.parent[obj_id], tree.first_child[obj_id],
-                     tree.sibling[obj_id])
-            parts.append(struct.pack(
-                "<iii", *(-1 if link is None else link for link in links)))
+        nodes, parent = tree.nodes, tree.parent
+        first_child, sibling = tree.first_child, tree.sibling
+        parts.append(struct.pack("<I", len(nodes)))
+        for obj_id in sorted(nodes):
+            up, down, side = (parent[obj_id], first_child[obj_id],
+                              sibling[obj_id])
+            parts.append(nodes[obj_id].record)
+            parts.append(_pack_links(-1 if up is None else up,
+                                     -1 if down is None else down,
+                                     -1 if side is None else side))
         live_globals = {k: v for k, v in self.globals.items() if v != 0}
         parts.append(struct.pack("<I", len(live_globals)))
         for key in sorted(live_globals):

@@ -1,16 +1,19 @@
 """Shared test machinery: fixture batches, full-coordinate FD checks, the
 per-gate GRU that the fused one in textquest.agents.nn is checked against,
-and the eager parser and full-scan diff that the engine's and the world's
-are checked against."""
+and the eager parser, full-scan diff and field-by-field encoder that the
+engine's and the world's are checked against."""
 
 import json
+import struct
 
 import numpy as np
 
 from textquest.agents.models import ModelConfig
 from textquest.engine import check_preconditions, visible_objects
 from textquest.grammar import SLOT, ParseKind, ParseOutcome, tokenize
-from textquest.world import Diff, GlobalChange, StatusChange, TreeChange
+from textquest.world import (ATTRIBUTES, KINDS, SNAPSHOT_MAGIC,
+                             SNAPSHOT_VERSION, Diff, GlobalChange,
+                             StatusChange, TreeChange)
 
 FD_H = 1e-4
 FD_REL_TOL = 1e-4
@@ -195,10 +198,11 @@ def rewrite_checkpoint(src, dst, edit=None, arrays=None, drop=()):
         np.savez(fh, **blobs)
 
 
-# -- reference parser and diff --------------------------------------------------
+# -- reference parser, diff and encoder --------------------------------------------
 # The engine builds its noun map lazily and only tries rules of the command's
-# length; the world's diff skips channels and shared nodes. These are the
-# plain forms: build every map, try every rule, scan every object.
+# length; the world's diff skips channels and shared nodes, and its encoder
+# joins bytes cached on each node. These are the plain forms: build every
+# map, try every rule, scan and pack every object.
 
 
 def reference_parse_command(state, game, text):
@@ -237,7 +241,7 @@ def reference_parse_command(state, game, text):
                                objects=tuple(bound))
         if first_resolved is None:
             first_resolved = outcome
-        if check_preconditions(state, game, rule, tuple(bound))[0]:
+        if check_preconditions(state, game, rule, tuple(bound)):
             return outcome
     if first_resolved is not None:
         return first_resolved
@@ -275,3 +279,52 @@ def reference_state_diff(a, b):
     tree_changes.sort(key=lambda c: (c.obj, c.field))
     return Diff(tree=tuple(tree_changes), globals=tuple(global_changes),
                 status=tuple(status_changes))
+
+
+def reference_encode(state, include_counters=True, include_rng=True):
+    """Snapshot format v1, packed field by field from every node."""
+    flags = (1 if include_counters else 0) | (2 if include_rng else 0)
+    parts = [SNAPSHOT_MAGIC, struct.pack("<BB", SNAPSHOT_VERSION, flags)]
+    tree = state.tree
+    parts.append(struct.pack("<I", len(tree.nodes)))
+    for obj_id in sorted(tree.nodes):
+        node = tree.nodes[obj_id]
+        mask = 0
+        for attr in node.attributes:
+            mask |= 1 << ATTRIBUTES.index(attr)
+        parts.append(struct.pack("<IBB", obj_id,
+                                 KINDS.index(node.kind), len(node.names)))
+        for name in node.names:
+            raw = name.encode("utf-8")
+            parts.append(struct.pack("<H", len(raw)))
+            parts.append(raw)
+        parts.append(struct.pack(
+            "<Hii", mask,
+            -1 if node.key_id is None else node.key_id,
+            -1 if node.capacity is None else node.capacity))
+        raw = node.text.encode("utf-8")
+        parts.append(struct.pack("<I", len(raw)))
+        parts.append(raw)
+        if node.read_text is None:
+            parts.append(struct.pack("<B", 0))
+        else:
+            raw = node.read_text.encode("utf-8")
+            parts.append(struct.pack("<BI", 1, len(raw)))
+            parts.append(raw)
+        links = (tree.parent[obj_id], tree.first_child[obj_id],
+                 tree.sibling[obj_id])
+        parts.append(struct.pack(
+            "<iii", *(-1 if link is None else link for link in links)))
+    live_globals = {k: v for k, v in state.globals.items() if v != 0}
+    parts.append(struct.pack("<I", len(live_globals)))
+    for key in sorted(live_globals):
+        raw = key.encode("utf-8")
+        parts.append(struct.pack("<H", len(raw)))
+        parts.append(raw)
+        parts.append(struct.pack("<q", live_globals[key]))
+    parts.append(struct.pack("<B", 1 if state.done else 0))
+    if include_counters:
+        parts.append(struct.pack("<qI", state.score, state.moves))
+    if include_rng:
+        parts.append(struct.pack("<Q", state.rng.state))
+    return b"".join(parts)

@@ -170,7 +170,7 @@ def test_04_determinism_and_round_trip(capsys):
     probe.reset(seed=0)
     before = probe.state_hash()
     probe.identify_valid_actions()
-    probe.gather_augmented_observation()
+    probe.observation()
     hash_preserved = probe.state_hash() == before
 
     ok = transcripts_match and continuation_match and hash_preserved

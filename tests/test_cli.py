@@ -158,6 +158,17 @@ def test_eval_rejects_malformed_checkpoint_metadata(tinybox_path, tmp_path,
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_eval_rejects_damaged_checkpoint_bytes(tinybox_path, tmp_path,
+                                               capsys):
+    path = _saved_checkpoint(tmp_path, "drrn")
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0xFF  # inside a stored array: a CRC mismatch
+    path.write_bytes(bytes(data))
+    assert main(["eval", tinybox_path, "--checkpoint", str(path),
+                 "--seed", "1"]) == INPUT_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_eval_rejects_tdqn_checkpoint_from_another_game(tmp_path, capsys):
     path = _saved_checkpoint(tmp_path, "tdqn")
     assert main(["eval", "mailhouse", "--checkpoint", str(path),

@@ -188,6 +188,18 @@ def test_take_all_sweeps_takeables(start, manor):
     assert "lamp: Taken." in result.observation
 
 
+def test_take_all_stops_at_the_inventory_limit():
+    manor = parse_game({**MANOR, "inventory_limit": 2})
+    holding_key = execute(init_state(manor, 0), manor, "take key").state
+    result = execute(holding_key, manor, "take all")
+    assert result.applied
+    assert result.observation == \
+        "lamp: Taken. You're carrying too much already."
+    assert holding_key.tree.children(10) == [12]
+    assert result.state.tree.children(10) == [12, 14]
+    assert result.state.tree.parent[18] == 1  # the pouch stays behind
+
+
 def test_open_locked_then_unlock(start, manor):
     refused = execute(start, manor, "open chest")
     assert not refused.applied and "locked" in refused.observation
@@ -309,6 +321,21 @@ def test_enter_room_edge_trigger_and_ends(start, manor):
     assert below.reward == 1
     assert below.state.done
     assert "*** The game has ended. ***" in below.observation
+
+
+def test_repeatable_rule_fires_only_on_its_edges():
+    manor = parse_game({**MANOR, "max_score": 2, "score_rules": [
+        MANOR["score_rules"][0],
+        {"trigger": {"kind": "acquire", "obj": 12}, "points": -1,
+         "once": False}]})
+    state = init_state(manor, 0)
+    rewards = []
+    for command in ("take key", "look", "inventory", "drop key",
+                    "take key", "look"):
+        result = execute(state, manor, command)
+        rewards.append(result.reward)
+        state = result.state
+    assert rewards == [-1, 0, 0, 0, -1, 0]
 
 
 def test_zero_point_rule_is_silent(start, manor):

@@ -4,7 +4,7 @@ import pytest
 
 from textquest.engine import init_state
 from textquest.env import (CapabilityError, Environment, EpisodeDoneError,
-                           Handicaps, NO_HANDICAPS, augmented_text,
+                           Handicaps, NO_HANDICAPS,
                            format_transcript_block, verify_walkthrough,
                            world_changed, world_changed_exact)
 from textquest.gamedefs import load_bundled, parse_game
@@ -86,8 +86,6 @@ def test_load_save_gating(tinybox):
     env.reset()
     with pytest.raises(CapabilityError):
         env.save()
-    with pytest.raises(CapabilityError):
-        env.gather_augmented_observation()
 
 
 def test_templates_vocab_gating(tinybox):
@@ -153,14 +151,6 @@ def test_observation_without_load_save_drops_channels(tinybox):
     env = Environment(tinybox, Handicaps(True, False, False, False, False))
     obs, _ = env.reset(seed=0)
     assert obs.inventory == "" and obs.description == ""
-    assert augmented_text(obs) == obs.narrative
-
-
-def test_augmented_text_appends_channels(env):
-    obs = env.observation()
-    text = augmented_text(obs)
-    assert text.startswith(obs.narrative)
-    assert " Inv: " in text and " Desc: " in text
 
 
 def test_interactive_objects_modes(tinybox):

@@ -111,6 +111,39 @@ def test_parse_rejects_mistyped_fields(tinybox_data, where, value, message):
         parse_game(data)
 
 
+@pytest.mark.parametrize("where, message", [
+    ((), r"<data>: unknown game field\(s\) \['bogus'\]"),
+    (("objects", 2), r"objects\[2\]: unknown object field"),
+    (("grammar", 0), r"grammar\[0\]: unknown grammar rule field"),
+    (("score_rules", 0), r"score_rules\[0\]: unknown score rule field"),
+    (("score_rules", 0, "trigger"), r"trigger: unknown trigger field"),
+])
+def test_parse_rejects_unknown_fields(tinybox_data, where, message):
+    data = copy.deepcopy(tinybox_data)
+    node = data
+    for key in where:
+        node = node[key]
+    node["bogus"] = 1
+    with pytest.raises(GameFileError, match=message):
+        parse_game(data)
+
+
+def test_parse_rejects_unknown_exit_field(tinybox_data):
+    data = copy.deepcopy(tinybox_data)
+    data["exits"] = {"1": {"north": {"to": 1, "door": 3}}}
+    with pytest.raises(GameFileError,
+                       match=r"exits\[1\]\.north: unknown exit field"):
+        parse_game(data)
+
+
+def test_parse_rejects_misspelt_attributes(tinybox_data):
+    data = copy.deepcopy(tinybox_data)
+    obj = next(o for o in data["objects"] if "attributes" in o)
+    obj["atributes"] = obj.pop("attributes")
+    with pytest.raises(GameFileError, match="atributes"):
+        parse_game(data)
+
+
 def test_parse_rejects_non_integer_exit_room(tinybox_data):
     data = copy.deepcopy(tinybox_data)
     data["exits"] = {"hall": {"north": 1}}
@@ -160,6 +193,31 @@ def test_single_field_mutation_raises_only_documented_errors(where, value):
         return
     # a file that parses must also start and snapshot
     init_state(game, 0).snapshot().restore()
+
+
+def _record_keys(node, prefix=()):
+    """Paths of every key of every record; exit tables map free-form
+    directions, so their keys are not field names."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            if prefix[-1:] != ("exits",) and prefix[-2:-1] != ("exits",):
+                yield prefix + (key,)
+            yield from _record_keys(child, prefix + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _record_keys(child, prefix + (i,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(_record_keys(MAILHOUSE_JSON))))
+def test_renamed_field_is_rejected_with_its_path(where):
+    data = copy.deepcopy(MAILHOUSE_JSON)
+    node = data
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1] + "x"] = node.pop(where[-1])
+    with pytest.raises(GameFileError, match=f"{where[-1]}x"):
+        parse_game(data)
 
 
 # -- validation ----------------------------------------------------------------------
@@ -280,6 +338,5 @@ def test_serialize_omits_empty_fields(tinybox):
 
 def test_gamedef_helpers(tinybox):
     assert tinybox.player_id() == 10
-    assert len(tinybox.object_map()) == len(tinybox.objects)
     assert tinybox.templates()
     assert len(tinybox.vocabulary()) > 0

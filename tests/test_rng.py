@@ -62,15 +62,6 @@ def test_randrange_rejects_nonpositive():
         SplitMix64(1).randrange(0)
 
 
-def test_shuffle_is_permutation():
-    rng = SplitMix64(5)
-    items = list(range(20))
-    shuffled = items.copy()
-    rng.shuffle(shuffled)
-    assert sorted(shuffled) == items
-    assert shuffled != items  # astronomically unlikely to be identity
-
-
 def test_choice_uniform_coverage():
     rng = SplitMix64(8)
     seen = {rng.choice("abcd") for _ in range(200)}

@@ -1,18 +1,23 @@
-"""Copies share immutable object nodes: purity of execute, node
-immutability, and the lazy parser and channel-skipping diff against their
-plain references in tests/helpers.py."""
+"""Copies share immutable object nodes and what depends only on one state
+is computed once: purity of execute, node immutability, copy on success
+only, shared Situations, and the lazy parser, channel-skipping diff and
+cached-record encoder against their plain references in tests/helpers.py."""
 
 import dataclasses
 import random
 
 import pytest
 
-from helpers import reference_parse_command, reference_state_diff
-from textquest.engine import (execute, init_state, parse_command,
-                              visible_objects)
+from helpers import (reference_encode, reference_parse_command,
+                     reference_state_diff)
+from textquest.engine import (EngineError, Situation, check_preconditions,
+                              execute, extract_nouns, init_state,
+                              parse_command, visible_objects)
+from textquest.env import Environment
 from textquest.gamedefs import bundled_game_names, load_bundled
-from textquest.grammar import enumerate_candidates
-from textquest.world import ObjectNode, Snapshot, TreeError, state_diff
+from textquest.grammar import ParseKind, enumerate_candidates, tokenize
+from textquest.world import (ATTRIBUTES, ObjectNode, Snapshot, TreeError,
+                             WorldState, state_diff)
 
 GAMES = bundled_game_names()
 UNKNOWN_WORDS = ("xyzzy", "frob", "")
@@ -161,3 +166,144 @@ def test_state_diff_matches_full_scan_reference():
         assert state_diff(a, b) == reference_state_diff(a, b)
         assert state_diff(a, b).diff_hash() == \
             reference_state_diff(a, b).diff_hash()
+
+
+# -- cached record bytes, shared situations, copy on success --------------------
+
+
+def _sweeps(game, seed, steps):
+    """(state, every candidate surface) for the states of a walk."""
+    templates = game.templates()
+    for state, _, _ in _walk(game, seed, steps, probes=0):
+        fillers = sorted({state.tree.nodes[o].name
+                          for o in visible_objects(state, game)})
+        yield state, [c.surface for c in
+                      enumerate_candidates(templates, fillers)]
+
+
+@pytest.mark.parametrize("name", GAMES)
+def test_encode_matches_field_by_field_reference(name):
+    game = load_bundled(name)
+    rng = random.Random(4)
+    states = [r.state for _, _, r in _walk(game, seed=7, steps=60)]
+    states += [Snapshot(s.encode()).restore() for s in states[::5]]
+    for s in states[::3]:
+        twin = s.copy()  # an edited node gets fresh record bytes
+        for obj in rng.sample(sorted(twin.tree.nodes), 3):
+            twin.tree.set_attr(obj, rng.choice(ATTRIBUTES),
+                               on=rng.random() < 0.5)
+        twin.globals["bell"] = rng.randrange(-3, 4)
+        states.append(twin)
+    for s in states:
+        for counters in (True, False):
+            for with_rng in (True, False):
+                assert s.encode(counters, with_rng) == \
+                    reference_encode(s, counters, with_rng)
+
+
+def test_record_bytes_cover_every_node_field():
+    base = ObjectNode(id=7, names=("lamp", "light"), kind="item",
+                      attributes={"lightsource"}, key_id=3, capacity=2,
+                      text="A lamp.", read_text="Made in Zork.")
+    variants = [dataclasses.replace(base, **change) for change in (
+        {"id": 8}, {"names": ("lamp",)}, {"kind": "scenery"},
+        {"attributes": frozenset()}, {"key_id": None}, {"capacity": None},
+        {"text": ""}, {"read_text": None}, {"read_text": ""})]
+    records = {base.record} | {v.record for v in variants}
+    assert len(records) == len(variants) + 1
+
+
+@pytest.mark.parametrize("name", GAMES)
+def test_shared_situation_gives_the_same_results(name):
+    game = load_bundled(name)
+    compared = applied = 0
+    for state, surfaces in _sweeps(game, seed=3, steps=12):
+        ctx = Situation(state, game)
+        for text in surfaces + ["take all", "look", "inventory"]:
+            shared = execute(state, game, text, ctx)
+            fresh = execute(state, game, text)
+            assert shared.observation == fresh.observation, text
+            assert shared.outcome == fresh.outcome, text
+            assert (shared.applied, shared.reward) == \
+                (fresh.applied, fresh.reward), text
+            assert shared.diff == fresh.diff, text
+            assert shared.state.encode() == fresh.state.encode(), text
+            compared += 1
+            applied += shared.applied
+    assert compared > 200 and applied > 20
+
+
+def test_situation_of_another_state_is_refused():
+    game = load_bundled("mailhouse")
+    state = init_state(game, 0)
+    moved = execute(state, game, "north").state
+    with pytest.raises(EngineError, match="another state"):
+        execute(moved, game, "look", Situation(state, game))
+
+
+@pytest.mark.parametrize("name", GAMES)
+def test_valid_action_sweep_leaves_state_bytes_intact(name):
+    game = load_bundled(name)
+    cache = {}
+    env = Environment(game, valid_action_cache=cache)
+    env.reset(seed=5)
+    rng = random.Random(5)
+    for _ in range(25):
+        if env.done:
+            break
+        before = env.state.encode()
+        cache.clear()
+        env.observation()
+        valid = env.identify_valid_actions()
+        assert env.state.encode() == before
+        state = env.state
+        expected = []
+        for surface in (c.surface for c in enumerate_candidates(
+                game.templates(), env.interactive_objects())):
+            diff = execute(state, game, surface).diff
+            if diff.tree:
+                expected.append((surface, diff.diff_hash()))
+        assert list(zip(valid.surfaces, valid.diff_hashes)) == expected
+        env.step(rng.choice(valid.surfaces or ("look",)))
+
+
+def _effect_failed(state, game, result):
+    """A command that parsed, passed its preconditions and then failed."""
+    if result.applied or result.outcome.kind is not ParseKind.RESOLVED:
+        return False
+    rule = next(r for r in game.grammar if r.id == result.outcome.rule_id)
+    return check_preconditions(state, game, rule, result.outcome.objects)
+
+
+@pytest.mark.parametrize("name", GAMES)
+def test_only_an_applied_command_copies_the_state(name, monkeypatch):
+    copies = []
+    original = WorldState.copy
+
+    def spy(self):
+        copies.append(self)
+        return original(self)
+
+    monkeypatch.setattr(WorldState, "copy", spy)
+    game = load_bundled(name)
+    effect_failures = 0
+    for state, surfaces in _sweeps(game, seed=8, steps=10):
+        ctx = Situation(state, game)
+        for text in surfaces + ["take all"]:
+            copies.clear()
+            result = execute(state, game, text, ctx)
+            assert len(copies) == (1 if result.applied else 0), text
+            effect_failures += _effect_failed(state, game, result)
+    assert effect_failures > 0
+
+
+@pytest.mark.parametrize("name", GAMES)
+def test_extract_nouns_matches_a_scan_of_the_objects(name):
+    game = load_bundled(name)
+    names = {n for obj in game.objects if obj.kind in ("item", "scenery")
+             for n in obj.names}
+    texts = [game.intro_text] + [r.observation for _, _, r in
+                                 _walk(game, seed=2, steps=20, probes=0)]
+    for text in texts:
+        assert extract_nouns(text, game) == \
+            sorted(set(tokenize(text)) & names)

@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import rewrite_checkpoint
 from textquest import load_bundled
@@ -325,6 +326,45 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     garbage.write_bytes(b"not a zip archive")
     with pytest.raises(CheckpointError, match="cannot read"):
         load_checkpoint(str(garbage))
+
+
+@pytest.fixture(scope="module")
+def drrn_checkpoint(drrn_result, tmp_path_factory):
+    """A real DRRN checkpoint's bytes, and a path to write mutants to."""
+    path = tmp_path_factory.mktemp("checkpoint") / "drrn.npz"
+    save_checkpoint(str(path), drrn_result)
+    return path.read_bytes(), path.with_name("mutant.npz")
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=st.lists(st.tuples(st.integers(0, 2 ** 20), st.integers(0, 255)),
+                      min_size=1, max_size=4),
+       cut=st.one_of(st.none(), st.integers(0, 2 ** 20)))
+def test_mutated_checkpoint_raises_checkpoint_error_or_loads(
+        drrn_checkpoint, edits, cut):
+    original, path = drrn_checkpoint
+    data = bytearray(original)
+    for pos, value in edits:
+        data[pos % len(data)] = value
+    if cut is not None:
+        data = data[:cut % len(data)]
+    path.write_bytes(bytes(data))
+    try:
+        checkpoint = load_checkpoint(str(path))
+    except CheckpointError:
+        return
+    assert all(np.isfinite(v).all() for v in checkpoint.params.values())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_non_finite_parameters(drrn_result, tmp_path, bad):
+    path, broken = tmp_path / "good.npz", tmp_path / "bad.npz"
+    save_checkpoint(str(path), drrn_result)
+    embed = drrn_result.params["embed"].copy()
+    embed[1, 2] = bad
+    rewrite_checkpoint(path, broken, arrays={"p:embed": embed})
+    with pytest.raises(CheckpointError, match="not all finite"):
+        load_checkpoint(str(broken))
 
 
 def test_result_from_checkpoint_evaluates_identically(tinybox_module,
