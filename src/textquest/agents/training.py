@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import lzma
+import math
 import time
 import tokenize
 import zipfile
@@ -82,11 +83,14 @@ class CheckpointError(Exception):
     pass
 
 
-# Smallest accepted value of each count in TrainConfig. With no envs or a
-# zero cap the rollout loop would never finish an episode or spend its budget.
-_CONFIG_MINIMUMS = {"env_count": 1, "step_cap": 1, "batch_size": 1,
-                    "rolling_window": 1, "max_episode_issues": 1,
-                    "max_env_steps": 0}
+# Counts are integers >= 1 (>= 0 in _ZERO_COUNTS): no envs or a zero cap
+# would never end an episode or spend the budget, and a zero width, capacity,
+# period or run count leaves nothing to compute. Reals are finite and >= 0
+# (bar early_stop_score), > 0 if _POSITIVE and <= 1 if _FRACTIONS.
+_ZERO_COUNTS = ("eps_decay_steps", "max_env_steps", "updates_per_round",
+                "warmup", "target_sync", "beta_anneal_updates")
+_POSITIVE = ("lr", "tau", "replay_eps")
+_FRACTIONS = ("gamma", "eps_start", "eps_end", "lambda_mix", "replay_beta0")
 
 
 @dataclass(frozen=True)
@@ -125,10 +129,22 @@ class TrainConfig:
     max_seconds: float | None = None
 
     def __post_init__(self) -> None:
-        for name, least in _CONFIG_MINIMUMS.items():
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, "
+        for f in fields(self):
+            value, count = getattr(self, f.name), f.type == "int"
+            if f.type == "str" or (value is None and f.default is None):
+                continue
+            low = -math.inf if f.name == "early_stop_score" else \
+                int(count and f.name not in _ZERO_COUNTS)
+            high, above = (1 if f.name in _FRACTIONS else math.inf,
+                           f.name in _POSITIVE)
+            if isinstance(value, bool) or not isinstance(
+                    value, int if count else (int, float)) or \
+                    not math.isfinite(value) or value > high or \
+                    not (value > low if above else value >= low):
+                what = "an integer" if count else "a finite number"
+                limit = f" and <= {high}" if high < math.inf else ""
+                raise ValueError(f"{f.name} must be {what} "
+                                 f"{'>' if above else '>='} {low}{limit}, "
                                  f"got {value!r}")
 
     def to_dict(self) -> dict:

@@ -2,11 +2,11 @@
 
 `execute` is pure: it never touches the input state, and the same
 (state, command) pair always produces the same result. It copies the state
-only once an effect applies, at its first edit, so a rejected command
-copies nothing. A `Situation` is a read-only view of one state that holds
-what every command parsed against that state shares (the visible objects,
-the noun map, the score triggers' values), so a valid-action sweep computes
-them once. All gameplay rules
+only at an effect's first tree edit, so the state it returns may share the
+input's tree: copy a state before editing its tree. A `Situation` is a
+read-only view of one state that holds what every command parsed against
+that state shares (the visible objects, the noun map, the score triggers'
+values), so a valid-action sweep computes them once. All gameplay rules
 funnel through the ten effect kinds in grammar.EFFECT_KINDS plus a small set
 of engine guards (you cannot open what is locked, carry past the inventory
 limit, or put a box inside itself) so authored games stay declarative.
@@ -161,6 +161,16 @@ def visible_objects(state: WorldState, game: GameDef) -> list[int]:
     return sorted(set(out))
 
 
+def may_edit_tree(game: GameDef, text: str) -> bool:
+    """False when `text` cannot change the object tree in any state: every
+    rule it can match (`GameDef.rules_led_by`) emits text or sets a global,
+    and score rules never edit the tree."""
+    words = tokenize(text)
+    return bool(words) and any(
+        rule.effect.kind not in ("emit-text", "set-global")
+        for rule in game.rules_led_by(len(words), words[0]))
+
+
 def extract_nouns(text: str, game: GameDef) -> list[str]:
     """Tokens of `text` that name some non-room object, sorted and unique."""
     return sorted(game.nouns.intersection(tokenize(text)))
@@ -222,13 +232,13 @@ def parse_command(state: WorldState, game: GameDef,
                   text: str) -> ParseOutcome:
     """Pure parser: same state and text always give the same outcome.
 
-    Rules with as many tokens as the command are tried in authored order.
-    Among rules whose pattern matches and whose nouns resolve, the first
-    whose preconditions hold wins; if none hold, the first resolving rule is
-    returned (its failure text will be shown). A pattern match with an
-    unknown or out-of-sight noun yields UNRESOLVED; no pattern match at all
-    yields UNPARSEABLE. The visible-noun map is built only once a pattern
-    reaches an object slot.
+    The rules a command can match (`GameDef.rules_led_by`) are tried in
+    authored order. Among rules whose pattern matches and whose nouns
+    resolve, the first whose preconditions hold wins; if none hold, the
+    first resolving rule is returned (its failure text will be shown). A
+    pattern match with an unknown or out-of-sight noun yields UNRESOLVED; no
+    pattern match at all yields UNPARSEABLE. The visible-noun map is built
+    only once a pattern reaches an object slot.
     """
     return _parse(Situation(state, game), text)[0]
 
@@ -242,7 +252,7 @@ def _parse(ctx: Situation, text: str
         return ParseOutcome(ParseKind.UNPARSEABLE), None, False
     saw_pattern = False
     first_resolved = None
-    for rule in ctx.game.rules_by_length.get(len(words), ()):
+    for rule in ctx.game.rules_led_by(len(words), words[0]):
         bound: list[int] = []
         matched = True
         resolved = True
@@ -413,8 +423,8 @@ def _apply_effect(state: WorldState, game: GameDef, rule: GrammarRule,
                   objects: tuple[int, ...]) -> tuple[str, WorldState]:
     """Returns the success text and the new state, or raises _Failure.
 
-    `state` is only read: it is copied at the first edit, so a failing
-    effect copies nothing.
+    `state` is only read: it is copied at the first tree edit, and an
+    effect that edits no tree returns `state.fork()`, which shares it.
     """
     eff = rule.effect
     tree = state.tree
@@ -435,9 +445,8 @@ def _apply_effect(state: WorldState, game: GameDef, rule: GrammarRule,
         return _Failure(fail_text or default)
 
     def success(default: str) -> tuple[str, WorldState]:
-        if rule.text is not None:
-            return _fmt(rule.text, tree, objects), edit()
-        return default, edit()
+        text = default if rule.text is None else _fmt(rule.text, tree, objects)
+        return text, after or state.fork()
 
     if eff.kind == "move-player":
         room = player_room(state)
@@ -571,7 +580,8 @@ def _apply_effect(state: WorldState, game: GameDef, rule: GrammarRule,
     if eff.kind == "set-global":
         name = eff.name or ""
         old = state.globals.get(name, 0)
-        edit().globals[name] = old + (eff.value or 0) if eff.add \
+        after = state.fork()
+        after.globals[name] = old + (eff.value or 0) if eff.add \
             else (eff.value or 0)
         return success("Done.")
 
@@ -617,9 +627,16 @@ def _trigger_active(state: WorldState, game: GameDef, trigger: Trigger,
 
 def _award_score(before: Situation, after: WorldState, game: GameDef,
                  executed_rule: str) -> list[str]:
-    """Fire edge-triggered score rules; mutates `after`. Returns notices."""
+    """Fire edge-triggered score rules; mutates `after`. Returns notices.
+
+    Triggers other than action_pattern read only the tree and the globals,
+    so have no edge while both equal `before`'s (a latch can change them)."""
     notices = []
+    same_tree = after.tree is before.state.tree
     for idx, sr in enumerate(game.score_rules):
+        if same_tree and sr.trigger.kind != "action_pattern" and \
+                after.globals == before.state.globals:
+            continue
         latch = f"_fired:{idx}"
         if sr.once and after.globals.get(latch, 0):
             continue

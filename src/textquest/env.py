@@ -87,7 +87,9 @@ class StepResult:
 @dataclass(frozen=True)
 class ValidActionSet:
     """Actions that changed the object tree when probed, with their diff
-    hashes (equal hashes mean interchangeable actions)."""
+    hashes: equal hashes within one set mean interchangeable actions. A
+    diff also records moves and score, so the hashes belong to the state
+    the set was probed from, not to a later one served from the cache."""
 
     candidates: tuple[ActionCandidate, ...]
     diff_hashes: tuple[int, ...]
@@ -143,6 +145,8 @@ class Environment:
         self._seed: int | None = None
         self._cache = valid_action_cache if valid_action_cache is not None \
             else {}
+        self._situation: engine.Situation | None = None
+        self._probes = None  # (fillers, the fillings that may edit the tree)
 
     # -- gating ---------------------------------------------------------------
 
@@ -154,6 +158,13 @@ class Environment:
         if self._state is None:
             raise RuntimeError("call reset() before interacting")
         return self._state
+
+    def _ctx(self) -> engine.Situation:
+        """The live state's Situation, rebuilt whenever the state changes."""
+        state = self._require_started()
+        if self._situation is None or self._situation.state is not state:
+            self._situation = engine.Situation(state, self.game)
+        return self._situation
 
     # -- episode control --------------------------------------------------------
 
@@ -181,7 +192,7 @@ class Environment:
         state = self._require_started()
         if state.done:
             raise EpisodeDoneError("the episode has ended; call reset()")
-        result = engine.execute(state, self.game, text)
+        result = engine.execute(state, self.game, text, self._ctx())
         self._state = result.state
         self._narrative = result.observation
         self._prev_action = text
@@ -256,27 +267,22 @@ class Environment:
 
         With the object_tree handicap this reads the world tree; without it,
         nouns are extracted from the current narrative text."""
-        return self._fillers(engine.Situation(self._require_started(),
-                                              self.game))
-
-    def _fillers(self, ctx: engine.Situation) -> list[str]:
+        ctx = self._ctx()
         if self.handicaps.object_tree:
-            nodes = ctx.state.tree.nodes
-            return sorted({nodes[obj].name for obj in ctx.visible})
+            return sorted({ctx.state.tree.nodes[i].name for i in ctx.visible})
         return engine.extract_nouns(self._narrative, self.game)
 
     def observation(self) -> AugmentedObservation:
         """Current four-channel observation.
 
         The inventory and description channels are gathered by issuing
-        "inventory" and "look" against a scratch copy of the state, so the
-        live episode never sees the probe; they need load_save."""
-        state = self._require_started()
+        "inventory" and "look" against the live state, which execute never
+        changes, so the episode never sees the probe; they need load_save."""
+        ctx = self._ctx()
         if self.handicaps.load_save:
-            ctx = engine.Situation(state, self.game)
-            inventory = engine.execute(state, self.game, "inventory",
+            inventory = engine.execute(ctx.state, self.game, "inventory",
                                        ctx).observation
-            description = engine.execute(state, self.game, "look",
+            description = engine.execute(ctx.state, self.game, "look",
                                          ctx).observation
         else:
             inventory = ""
@@ -293,25 +299,33 @@ class Environment:
         """Probe every template filling and keep those that changed the tree.
 
         Probes never change the live state, so its hash is identical before
-        and after; they share one engine.Situation of it. Fillers default to
-        interactive_objects(). Results are cached per (situation, fillers)
-        because validity depends on neither the move counter nor the score.
+        and after; they share one engine.Situation of it. Fillings that
+        cannot edit the tree (engine.may_edit_tree) are not probed. Fillers
+        default to interactive_objects(). Results are cached per (situation,
+        fillers, dedup): validity depends on neither the move counter nor
+        the score, but diff hashes do, so a cache hit keeps the hashes of
+        the sweep that filled it (see ValidActionSet).
         """
         self._require("valid_action_detection")
-        state = self._require_started()
+        ctx = self._ctx()
+        state = ctx.state
         if state.done:
             return ValidActionSet((), ())
-        ctx = engine.Situation(state, self.game)
-        if objects is None:
-            objects = self._fillers(ctx)
-        key = (state.situation_hash(), tuple(objects), dedup)
+        fillers = tuple(self.interactive_objects() if objects is None
+                        else objects)
+        key = (state.situation_hash(), fillers, dedup)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
+        if self._probes is None or self._probes[0] != fillers:
+            self._probes = fillers, tuple(
+                cand for cand in enumerate_candidates(self._templates,
+                                                      fillers)
+                if engine.may_edit_tree(self.game, cand.surface))
         kept: list[ActionCandidate] = []
         hashes: list[int] = []
         seen_diffs: dict[int, str] = {}
-        for cand in enumerate_candidates(self._templates, objects):
+        for cand in self._probes[1]:
             result = engine.execute(state, self.game, cand.surface, ctx)
             if not result.diff.tree:
                 continue

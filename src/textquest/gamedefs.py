@@ -102,12 +102,20 @@ class GameDef:
     format_version: int = FORMAT_VERSION
 
     @cached_property
-    def rules_by_length(self) -> dict[int, tuple[gr.GrammarRule, ...]]:
-        """Grammar rules keyed by pattern token count, in authored order."""
-        out: dict[int, list[gr.GrammarRule]] = {}
-        for rule in self.grammar:
-            out.setdefault(len(rule.tokens), []).append(rule)
-        return {n: tuple(rules) for n, rules in out.items()}
+    def _rules_by_head(self) -> dict:
+        heads = {(len(r.tokens), r.tokens[0]) for r in self.grammar
+                 if r.tokens}
+        return {(n, first): tuple(r for r in self.grammar
+                                  if len(r.tokens) == n and
+                                  r.tokens[0] in (first, gr.SLOT))
+                for n, first in heads}
+
+    def rules_led_by(self, length: int,
+                     first: str) -> tuple[gr.GrammarRule, ...]:
+        """Every rule a command of `length` words led by `first` can match:
+        those led by `first` or by an object slot, in authored order."""
+        table = self._rules_by_head
+        return table.get((length, first)) or table.get((length, gr.SLOT), ())
 
     @cached_property
     def nouns(self) -> frozenset[str]:

@@ -12,6 +12,8 @@ through `WorldObjectTree.reparent` (links) or `WorldObjectTree.set_attr`
 it shares nodes with. For the same reason each node caches its own snapshot
 record bytes (`ObjectNode.record`): the cache cannot go stale, copies share
 it, and encoding a state joins those bytes with each node's three links.
+A state may share its whole tree with another (`WorldState.fork`), so edit
+only the tree of a state you copied.
 
 Sibling chains are kept in ascending-id order at all times. Child order is
 therefore derived from the parent map, which keeps three contracts mutually
@@ -305,15 +307,15 @@ class WorldState:
     done: bool = False
     rng: SplitMix64 = field(default_factory=SplitMix64)
 
+    def fork(self) -> "WorldState":
+        """A new state sharing this tree, with its own globals and rng."""
+        return WorldState(self.tree, dict(self.globals), self.score,
+                          self.moves, self.done, self.rng.copy())
+
     def copy(self) -> "WorldState":
-        return WorldState(
-            tree=self.tree.copy(),
-            globals=dict(self.globals),
-            score=self.score,
-            moves=self.moves,
-            done=self.done,
-            rng=self.rng.copy(),
-        )
+        out = self.fork()
+        out.tree = self.tree.copy()
+        return out
 
     # -- canonical encoding -------------------------------------------------
 
@@ -523,25 +525,28 @@ def state_diff(a: WorldState, b: WorldState) -> Diff:
     """Diff two states. Entries are sorted, so equal diffs compare equal.
 
     A channel is scanned only when its maps differ, and attributes only for
-    objects whose nodes are not shared between the two states.
+    objects whose nodes are not shared between the two states, and not at
+    all for states that share one tree.
     """
     ta, tb = a.tree, b.tree
-    ids_a, ids_b = ta.nodes.keys(), tb.nodes.keys()
-    tree_changes = [TreeChange(obj, "present", obj in ids_a, obj in ids_b)
-                    for obj in ids_a ^ ids_b]
-    common = ids_a & ids_b
-    if ta.parent != tb.parent:
-        tree_changes += [TreeChange(obj, "parent", ta.parent[obj],
-                                    tb.parent[obj])
-                         for obj in common if ta.parent[obj] != tb.parent[obj]]
-    if ta.nodes != tb.nodes:
-        for obj in common:
-            na, nb = ta.nodes[obj], tb.nodes[obj]
-            if na is not nb:
-                tree_changes += [
-                    TreeChange(obj, f"attr:{attr}", attr in na.attributes,
-                               attr in nb.attributes)
-                    for attr in na.attributes ^ nb.attributes]
+    tree_changes = []
+    if ta is not tb:
+        ids_a, ids_b = ta.nodes.keys(), tb.nodes.keys()
+        tree_changes = [TreeChange(obj, "present", obj in ids_a,
+                                   obj in ids_b) for obj in ids_a ^ ids_b]
+        common = ids_a & ids_b
+        if ta.parent != tb.parent:
+            tree_changes += [TreeChange(obj, "parent", ta.parent[obj],
+                                        tb.parent[obj]) for obj in common
+                             if ta.parent[obj] != tb.parent[obj]]
+        if ta.nodes != tb.nodes:
+            for obj in common:
+                na, nb = ta.nodes[obj], tb.nodes[obj]
+                if na is not nb:
+                    tree_changes += [
+                        TreeChange(obj, f"attr:{attr}", attr in na.attributes,
+                                   attr in nb.attributes)
+                        for attr in na.attributes ^ nb.attributes]
     global_changes = []
     if a.globals != b.globals:
         for name in sorted(a.globals.keys() | b.globals.keys()):

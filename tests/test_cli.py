@@ -202,12 +202,26 @@ def test_train_rejects_unknown_agent_from_config(tinybox_path, tmp_path,
 @pytest.mark.parametrize("override", ["env_count=0", "step_cap=0",
                                       "batch_size=-1", "rolling_window=0",
                                       "max_episode_issues=0",
-                                      "max_env_steps=-5", "env_count=none"])
+                                      "max_env_steps=-5", "env_count=none",
+                                      "replay_capacity=0", "hidden_dim=0",
+                                      "update_every=0", "runs=0"])
 def test_train_rejects_out_of_range_override(tinybox_path, override, capsys):
     assert main(["train", tinybox_path, "--agent", "drrn", "--seed", "1",
                  "--set", override]) == INPUT_ERROR
     name = override.partition("=")[0]
     assert f"error: {name} must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("agent, override", [
+    ("drrn", "tau=0"), ("drrn", "lr=nan"), ("drrn", "gamma=2"),
+    ("tdqn", "lambda_mix=inf"), ("drrn", "max_seconds=-1")])
+def test_train_rejects_out_of_range_real_override(tinybox_path, agent,
+                                                  override, capsys):
+    assert main(["train", tinybox_path, "--agent", agent, "--seed", "1",
+                 "--set", override]) == INPUT_ERROR
+    name = override.partition("=")[0]
+    assert f"error: {name} must be a finite number" in \
+        capsys.readouterr().err
 
 
 def test_play_rejects_mistyped_game_file(tmp_path, capsys):

@@ -1,26 +1,72 @@
 """Copies share immutable object nodes and what depends only on one state
-is computed once: purity of execute, node immutability, copy on success
-only, shared Situations, and the lazy parser, channel-skipping diff and
+is computed once: purity of execute, node immutability, copy at the first
+tree edit only, shared Situations, sweeps that probe only fillings that can
+change the tree, and the head-indexed parser, channel-skipping diff and
 cached-record encoder against their plain references in tests/helpers.py."""
 
 import dataclasses
+import hashlib
 import random
 
 import pytest
 
+from conftest import tinybox_dict
 from helpers import (reference_encode, reference_parse_command,
                      reference_state_diff)
+from textquest import engine
 from textquest.engine import (EngineError, Situation, check_preconditions,
                               execute, extract_nouns, init_state,
                               parse_command, visible_objects)
 from textquest.env import Environment
-from textquest.gamedefs import bundled_game_names, load_bundled
-from textquest.grammar import ParseKind, enumerate_candidates, tokenize
+from textquest.gamedefs import bundled_game_names, load_bundled, parse_game
+from textquest.grammar import (SLOT, ParseKind, enumerate_candidates,
+                               tokenize)
 from textquest.world import (ATTRIBUTES, ObjectNode, Snapshot, TreeError,
                              WorldState, state_diff)
 
 GAMES = bundled_game_names()
 UNKNOWN_WORDS = ("xyzzy", "frob", "")
+
+
+def headbox():
+    """tinybox plus rules that stress the head index and the sweep filter:
+    a head ("kick") shared by an emit-text and a tree rule, an OBJ-led tree
+    rule and an OBJ-led text rule, text-only heads ("examine", "ring"), an
+    action_pattern score rule on "look" and a trigger that reads the
+    `_fired:1` latch that rule sets."""
+    data = tinybox_dict()
+    data["max_score"] = 3
+    data["grammar"] += [
+        {"id": "kick-fixed", "pattern": "kick OBJ",
+         "preconditions": [{"kind": "has_attr", "slot": 1, "attr": "fixed"}],
+         "effect": {"kind": "emit-text", "source": "literal",
+                    "text": "Ouch."}},
+        {"id": "kick", "pattern": "kick OBJ",
+         "effect": {"kind": "reparent-to-floor", "slot": 1}},
+        {"id": "shove", "pattern": "OBJ shove",
+         "effect": {"kind": "reparent-to-floor", "slot": 1}},
+        {"id": "greet", "pattern": "OBJ hello",
+         "effect": {"kind": "emit-text", "source": "object_text",
+                    "slot": 1}},
+        {"id": "examine", "pattern": "examine OBJ",
+         "effect": {"kind": "emit-text", "source": "object_text",
+                    "slot": 1}},
+        {"id": "ring", "pattern": "ring OBJ",
+         "effect": {"kind": "set-global", "name": "rings", "value": 1,
+                    "add": True}},
+    ]
+    data["score_rules"] += [
+        {"trigger": {"kind": "action_pattern", "rule": "look"}, "points": 1,
+         "once": True},
+        {"trigger": {"kind": "state_reached", "conditions": [
+            {"kind": "global_is", "name": "_fired:1", "value": 1}]},
+         "points": -1, "once": False},
+    ]
+    return parse_game(data)
+
+
+def _game(name):
+    return headbox() if name == "headbox" else load_bundled(name)
 
 
 def _names(game):
@@ -117,23 +163,27 @@ def test_player_id_survives_copy_and_decode():
     assert Snapshot(state.encode()).restore().tree.player == game.player_id()
 
 
-@pytest.mark.parametrize("name", GAMES)
-def test_rules_by_length_keeps_authored_order(name):
-    game = load_bundled(name)
-    regrouped = [r for n in sorted(game.rules_by_length)
-                 for r in game.rules_by_length[n]]
-    assert sorted(regrouped, key=game.grammar.index) == list(game.grammar)
-    for n, rules in game.rules_by_length.items():
-        assert all(len(r.pattern.split()) == n for r in rules)
-        assert list(rules) == [r for r in game.grammar if r in rules]
+@pytest.mark.parametrize("name", GAMES + ("headbox",))
+def test_rules_led_by_keeps_authored_order(name):
+    game = _game(name)
+    longest = max(len(r.tokens) for r in game.grammar)
+    heads = {r.tokens[0] for r in game.grammar} | {"xyzzy", SLOT}
+    for n in range(longest + 2):
+        for first in heads:
+            assert list(game.rules_led_by(n, first)) == [
+                r for r in game.grammar
+                if len(r.pattern.split()) == n and
+                r.pattern.split()[0] in (first, SLOT)], (n, first)
 
 
-@pytest.mark.parametrize("name", GAMES)
+@pytest.mark.parametrize("name", GAMES + ("headbox",))
 def test_lazy_parser_matches_eager_reference(name):
-    game = load_bundled(name)
+    game = _game(name)
     rng = random.Random(11)
     extra = ["take all", "look", "north", "open", "take the", "xyzzy",
-             "", "   ", "inventory please"] + list(game.walkthrough)
+             "", "   ", "inventory please", "xyzzy egg", "kick egg",
+             "kick gong", "egg shove", "box hello", "kick shove",
+             "one two three four five six"] + list(game.walkthrough)
     names = _names(game)
     templates = list(game.templates())
     checked = 0
@@ -277,6 +327,7 @@ def _effect_failed(state, game, result):
 
 @pytest.mark.parametrize("name", GAMES)
 def test_only_an_applied_command_copies_the_state(name, monkeypatch):
+    """Exactly one copy when the effect edits the tree, none otherwise."""
     copies = []
     original = WorldState.copy
 
@@ -286,15 +337,20 @@ def test_only_an_applied_command_copies_the_state(name, monkeypatch):
 
     monkeypatch.setattr(WorldState, "copy", spy)
     game = load_bundled(name)
-    effect_failures = 0
+    effect_failures = applied_without_edit = 0
     for state, surfaces in _sweeps(game, seed=8, steps=10):
         ctx = Situation(state, game)
-        for text in surfaces + ["take all"]:
+        before = state.encode()
+        for text in surfaces + ["take all", "look", "inventory"]:
             copies.clear()
             result = execute(state, game, text, ctx)
-            assert len(copies) == (1 if result.applied else 0), text
+            assert len(copies) == (1 if result.diff.tree else 0), text
+            assert (result.state.tree is state.tree) == \
+                (not result.diff.tree), text
             effect_failures += _effect_failed(state, game, result)
-    assert effect_failures > 0
+            applied_without_edit += result.applied and not result.diff.tree
+        assert state.encode() == before
+    assert effect_failures > 0 and applied_without_edit > 0
 
 
 @pytest.mark.parametrize("name", GAMES)
@@ -307,3 +363,157 @@ def test_extract_nouns_matches_a_scan_of_the_objects(name):
     for text in texts:
         assert extract_nouns(text, game) == \
             sorted(set(tokenize(text)) & names)
+
+
+# -- filtered sweeps and tree-sharing effects ------------------------------------
+
+ODD_FILLERS = (["xyzzy"], [], ["BOX", "Egg", "Lamp"], ["pine box", "egg"],
+               ["", "kick", "egg", "gong"])
+
+
+def _probe_every_filling(state, game, objects, dedup):
+    """(surface, diff hash) of every filling that changes the tree."""
+    kept, seen = [], set()
+    for cand in enumerate_candidates(game.templates(), objects):
+        diff = execute(state, game, cand.surface).diff
+        if not diff.tree or (dedup and diff.diff_hash() in seen):
+            continue
+        seen.add(diff.diff_hash())
+        kept.append((cand.surface, diff.diff_hash()))
+    return kept
+
+
+@pytest.mark.parametrize("name", GAMES + ("headbox",))
+def test_filtered_sweep_matches_probing_every_filling(name):
+    game = _game(name)
+    cache = {}
+    env = Environment(game, valid_action_cache=cache)
+    env.reset(seed=6)
+    rng = random.Random(6)
+    progress = kept = 0
+    for _ in range(15):
+        if env.done:
+            break
+        for objects in (None, rng.choice(ODD_FILLERS), None):
+            for dedup in (False, True):
+                cache.clear()
+                valid = env.identify_valid_actions(objects, dedup=dedup)
+                fillers = env.interactive_objects() if objects is None \
+                    else objects
+                assert list(zip(valid.surfaces, valid.diff_hashes)) == \
+                    _probe_every_filling(env.state, game, fillers, dedup)
+                kept += len(valid)
+        if rng.random() < 0.5 and progress < len(game.walkthrough):
+            env.step(game.walkthrough[progress])
+            progress += 1
+        else:
+            env.step(rng.choice(env.identify_valid_actions().surfaces
+                                or ("look",)))
+    assert kept > 0
+
+
+HEADBOX_SCRIPT = ("examine gong", "ring gong", "kick gong", "take pebble",
+                  "kick pebble", "look", "look", "strike gong", "open box",
+                  "take egg")
+# sha256 of repr(_headbox_episode()) as produced by the engine before
+# effects that edit no tree shared their input's tree.
+HEADBOX_DIGEST = \
+    "8f1094921ad3bc97ebdf1fca24cae3c3616efd4b488f9adf0f90a04d226ba25c"
+
+
+def _headbox_episode():
+    """Every output of HEADBOX_SCRIPT, then "look" on the finished state."""
+    game = headbox()
+    env = Environment(game)
+    obs, _ = env.reset(seed=0)
+    rows = [obs.channels()]
+    for text in HEADBOX_SCRIPT:
+        r = env.step(text)
+        rows.append((text, r.observation, r.reward, r.score, r.done,
+                     env.observation().channels()))
+    last = execute(env.state, game, "look")
+    rows.append(("look", last.observation, last.reward, last.state.score,
+                 last.state.done))
+    return rows
+
+
+def test_text_effects_and_score_latches_keep_their_outputs():
+    rows = _headbox_episode()
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == HEADBOX_DIGEST
+    # the look rule fires in the observation's probe, and its latch fires
+    # the -1 rule later in the same scoring pass
+    notices = ("[Your score has just gone up by 1 point.] "
+               "[Your score has just gone down by 1 point.]")
+    assert rows[0][2].endswith(notices)
+    assert rows[-2][4] is True
+    assert all(ch.endswith("*** The game has ended. ***")
+               for ch in rows[-2][5][:3])
+    assert rows[-1][1].endswith("*** The game has ended. ***")
+
+
+@pytest.mark.parametrize("name", GAMES + ("headbox",))
+def test_tree_sharing_matches_copying_every_applied_state(name, monkeypatch):
+    """Effects that edit no tree share it; copying instead changes nothing
+    a caller sees (text, reward, diff, state bytes, observations)."""
+    game = _game(name)
+
+    def play():
+        env = Environment(game)
+        env.reset(seed=4)
+        rng = random.Random(4)
+        out = []
+        for _ in range(40):
+            if env.done:
+                out.append(execute(env.state, game, "look").observation)
+                env.reset(seed=4)
+            out.append(env.observation().channels())
+            surfaces = [c.surface for c in enumerate_candidates(
+                game.templates(), env.interactive_objects())]
+            for text in rng.sample(surfaces, min(8, len(surfaces))):
+                r = execute(env.state, game, text)
+                out.append((r.observation, r.reward, r.diff,
+                            r.state.encode()))
+            out.append(env.step(rng.choice(surfaces + ["look"])))
+            out.append(env.state.encode())
+        return out
+
+    def fork_with_own_tree(state):
+        return WorldState(state.tree.copy(), dict(state.globals), state.score,
+                          state.moves, state.done, state.rng.copy())
+
+    shared = play()
+    monkeypatch.setattr(WorldState, "fork", fork_with_own_tree)
+    assert play() == shared
+
+
+def _may_edit_tree(game, text):
+    """Whether a rule of `text`'s length led by its first word or by OBJ
+    has an effect that edits the tree."""
+    words = tokenize(text)
+    return any(r.effect.kind not in ("emit-text", "set-global")
+               for r in game.grammar if words and
+               len(r.pattern.split()) == len(words) and
+               r.pattern.split()[0] in (words[0], SLOT))
+
+
+@pytest.mark.parametrize("name", GAMES + ("headbox",))
+def test_sweep_probes_only_fillings_that_may_edit_the_tree(name,
+                                                           monkeypatch):
+    game = _game(name)
+    env = Environment(game)
+    env.reset(seed=0)
+    surfaces = [c.surface for c in enumerate_candidates(
+        game.templates(), env.interactive_objects())]
+    probed = []
+    original = engine.execute
+
+    def spy(state, game, text, ctx=None):
+        probed.append(text)
+        return original(state, game, text, ctx)
+
+    monkeypatch.setattr(engine, "execute", spy)
+    env.identify_valid_actions()
+    assert probed == [s for s in surfaces if _may_edit_tree(game, s)]
+    # OBJ-led tree rules make every two-word headbox filling a probe
+    assert ("examine gong" in probed) == (name == "headbox")
+    assert "look" in surfaces and "look" not in probed

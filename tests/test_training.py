@@ -309,11 +309,32 @@ def test_checkpoint_rejects_out_of_range_train_config(drrn_result, tmp_path,
                                           ("rolling_window", -3),
                                           ("max_episode_issues", 0),
                                           ("max_env_steps", -1),
-                                          ("env_count", None)])
+                                          ("env_count", None),
+                                          ("replay_capacity", 0),
+                                          ("hidden_dim", 0),
+                                          ("update_every", 0), ("runs", 0),
+                                          ("warmup", -1)])
 def test_train_config_rejects_out_of_range_counts(field, value):
     with pytest.raises(ValueError, match=field):
         TrainConfig(**{field: value})
     assert getattr(TrainConfig(max_env_steps=0), "max_env_steps") == 0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tau", 0.0), ("lr", float("nan")), ("lr", -1e-3), ("gamma", 1.5),
+    ("tau", float("inf")), ("eps_start", -0.1), ("replay_eps", 0.0),
+    ("lambda_mix", None), ("early_stop_score", float("nan")),
+    ("max_seconds", -1.0), ("replay_beta0", True)])
+def test_train_config_rejects_out_of_range_reals(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_interval_ends():
+    cfg = TrainConfig(gamma=1, eps_end=0.0, lambda_mix=1.0, replay_alpha=0,
+                      max_seconds=0.0, early_stop_score=-2.5, target_sync=0,
+                      warmup=0, eps_decay_steps=0)
+    assert cfg.gamma == 1 and cfg.max_seconds == 0.0
 
 
 def test_checkpoint_rejects_foreign_files(tmp_path):

@@ -16,7 +16,12 @@ and prints a JSON digest of their outputs:
   explore-style turns (observation, identify_valid_actions, a seeded pick,
   step, save, now and then a load of an earlier snapshot), digesting the
   observation channels, the valid-action surfaces and diff hashes, the step
-  results and the snapshot bytes.
+  results and the snapshot bytes;
+* `sweep`: every bundled game played through its walkthrough to the end,
+  with identify_valid_actions run before each step on the default fillers
+  and on explicit filler lists (the game's item names, unknown, empty,
+  upper-case and two-word names), dedup off and on, then observation()
+  and "look" after the episode has ended.
 
 Learner, benchmark and simulator outputs must match byte for byte. A
 random curve may differ only by the new checkout dropping a final episode
@@ -35,6 +40,8 @@ import sys
 RANDOM_BUDGETS = (("tiny", 400), ("tiny", 1200), ("mail", 3000))
 SIM_SEEDS = (1, 2, 3)
 SIM_TURNS = 60
+ODD_FILLERS = ((), ("xyzzy",), ("LAMP", "Key", "box"), ("brass key", "lamp"),
+               ("", "take", "north"))
 
 
 def sim(game, seed: int) -> str:
@@ -66,6 +73,33 @@ def sim(game, seed: int) -> str:
         saved.append(snapshot)
         if rng.random() < 0.05:
             env.load(rng.choice(saved))
+    return digest.hexdigest()
+
+
+def sweep(game, seed: int) -> str:
+    """Digest of the sweeps, observations and steps of one walkthrough."""
+    from textquest.engine import execute
+    from textquest.env import Environment
+
+    digest = hashlib.sha256()
+    env = Environment(game)
+    env.reset(seed=seed)
+    items = tuple(sorted(obj.name for obj in game.objects
+                         if obj.kind == "item"))
+    for command in game.walkthrough:
+        for objects in (None, items) + ODD_FILLERS:
+            for dedup in (False, True):
+                valid = env.identify_valid_actions(objects, dedup=dedup)
+                digest.update(repr((valid.surfaces, valid.diff_hashes))
+                              .encode())
+        digest.update(repr(env.observation()).encode())
+        digest.update(repr(env.step(command)).encode())
+        digest.update(env.save().data)
+    if not env.done:
+        raise RuntimeError(f"{game.title}: the walkthrough did not end it")
+    look = execute(env.state, game, "look")
+    digest.update(repr((env.observation(), env.identify_valid_actions(),
+                        look.observation, look.reward, look.diff)).encode())
     return digest.hexdigest()
 
 
@@ -118,6 +152,7 @@ def dump(root: str) -> dict:
     for name, game in bundled.items():
         for seed in SIM_SEEDS:
             out[f"sim-{name}-{seed}"] = sim(game, seed)
+        out[f"sweep-{name}"] = sweep(game, 1)
     for name, steps in RANDOM_BUDGETS:
         for seed in (1, 2):
             cfg = TrainConfig(agent="random", max_env_steps=steps)
