@@ -12,6 +12,15 @@ encoded row (`np.add.at`). Replay batches repeat the same few
 observations and action strings, so this removes most of the GRU rows in a
 DRRN update and in action selection, and no call site needs to know.
 
+The frozen target network's passes read encodings from a memo
+{(GRU name, token tuple): row} (`encode_memo`). The trainer makes one per
+target generation, with the target copy, and replaces it at every sync; it
+has none when the target is the live network (`target_sync=0`). A memo's
+misses are encoded in one batch of at least two rows (the one-row rule:
+a lone list gets a fully masked partner). A one-row matmul takes BLAS's
+matrix-vector path and can differ in the last bits, while a row of a larger
+batch does not depend on the other rows, so a memo row is exact.
+
 The relevance network (DRRN) additionally encodes a candidate action string
 with a fifth GRU and scores the (observation, action) pair with a two-layer
 head ending in a scalar Q value.
@@ -86,6 +95,23 @@ def encode_texts(params: Params, cfg: ModelConfig, name: str,
     return h[inverse], {"ids": ids, "gru": gcache, "inverse": inverse}
 
 
+def encode_memo(params: Params, cfg: ModelConfig, name: str, token_lists: list,
+                memo: dict | None = None) -> np.ndarray:
+    """Forward-only (B, H) encodings with the GRU `name`, read from `memo`
+    after encoding the lists it lacks in one batch (one-row rule)."""
+    if memo is None:
+        return encode_texts(params, cfg, name, token_lists)[0]
+    keys = [(name, tuple(tokens)) for tokens in token_lists]
+    misses = [key for key in dict.fromkeys(keys) if key not in memo]
+    if misses:
+        ids, mask = pad_batch([key[1] for key in misses] +
+                              [()] * (len(misses) == 1))
+        h, _ = gru_forward(params, name, embed_forward(params, "embed", ids),
+                           mask)
+        memo.update(zip(misses, h))
+    return np.array([memo[key] for key in keys])
+
+
 def encode_texts_backward(params: Params, cache: dict,
                           dh: np.ndarray) -> Params:
     dh_unique = np.zeros((cache["ids"].shape[0], dh.shape[1]))
@@ -96,16 +122,19 @@ def encode_texts_backward(params: Params, cache: dict,
 
 
 def encode_observations(params: Params, cfg: ModelConfig,
-                        batch: list[TokenChannels]) -> tuple[np.ndarray, dict]:
-    """Encode a batch of four-channel token tuples into (B, 4H)."""
-    parts = []
-    caches = []
-    for idx, channel in enumerate(CHANNELS):
-        h, ccache = encode_texts(params, cfg, f"enc.{channel}",
-                                 [sample[idx] for sample in batch])
-        parts.append(h)
-        caches.append(ccache)
-    return np.concatenate(parts, axis=1), {"channels": caches, "cfg": cfg}
+                        batch: list[TokenChannels], memo: dict | None = None
+                        ) -> tuple[np.ndarray, dict | None]:
+    """Encode a batch of four-channel token tuples into (B, 4H). Given a
+    memo, forward only through `encode_memo`, and the cache is None."""
+    channels = [(f"enc.{channel}", [sample[idx] for sample in batch])
+                for idx, channel in enumerate(CHANNELS)]
+    if memo is not None:
+        return np.concatenate([encode_memo(params, cfg, name, lists, memo)
+                               for name, lists in channels], axis=1), None
+    parts, caches = zip(*(encode_texts(params, cfg, name, lists)
+                          for name, lists in channels))
+    return np.concatenate(parts, axis=1), {"channels": list(caches),
+                                           "cfg": cfg}
 
 
 def encode_observations_backward(params: Params, cache: dict,
@@ -162,47 +191,44 @@ def drrn_backward(params: Params, cache: dict, dq: np.ndarray) -> Params:
 
 def drrn_q_values(params: Params, cfg: ModelConfig,
                   obs_list: list[TokenChannels],
-                  act_lists: list[list[list[int]]]) -> list[np.ndarray]:
+                  act_lists: list[list[list[int]]],
+                  memo: dict | None = None) -> list[np.ndarray]:
     """Q values over each observation's own candidate list (forward only).
 
-    Encodes the B observations once, encodes all candidate actions as one
-    batch, and scores every (obs_i, candidate_ij) pair. Returns one array
-    per observation; an empty candidate list yields an empty array.
+    Encodes the B observations and all candidate actions, through `memo`
+    when given (see `encode_memo`), and scores every (obs_i, candidate_ij)
+    pair. Returns one array per observation; an empty candidate list yields
+    an empty array.
     """
     counts = [len(acts) for acts in act_lists]
-    total = sum(counts)
-    if total == 0:
+    if not any(counts):
         return [np.zeros(0) for _ in act_lists]
-    nu_o, _ = encode_observations(params, cfg, obs_list)
+    nu_o, _ = encode_observations(params, cfg, obs_list, memo)
     flat_acts = [tokens for acts in act_lists for tokens in acts]
-    nu_a, _ = encode_texts(params, cfg, "act", flat_acts)
+    nu_a = encode_memo(params, cfg, "act", flat_acts, memo)
     tiled = np.repeat(nu_o, counts, axis=0)
     joint = np.concatenate([tiled, nu_a], axis=1)
     hidden = relu(joint @ params["q1.W"] + params["q1.b"])
     q = (hidden @ params["q2.W"] + params["q2.b"])[:, 0]
-    out = []
-    offset = 0
-    for count in counts:
-        out.append(q[offset:offset + count])
-        offset += count
-    return out
+    ends = np.cumsum(counts)
+    return [q[end - count:end] for count, end in zip(counts, ends)]
 
 
 def drrn_loss(params: Params, target_params: Params, cfg: ModelConfig,
-              batch: list[dict], gamma: float
+              batch: list[dict], gamma: float, memo: dict | None = None
               ) -> tuple[float, Params, np.ndarray]:
     """Weighted squared TD error over a replay batch.
 
     Each sample holds obs, act, reward, next_obs, next_acts, done, weight.
-    Next-state values come from the target parameters; terminal transitions
-    bootstrap from zero.
+    Next-state values come from the target parameters, encoded through
+    `memo` (see `encode_memo`); terminal transitions bootstrap from zero.
     """
     q, cache = drrn_q_pairs(params, cfg,
                             [s["obs"] for s in batch],
                             [s["act"] for s in batch])
     next_q = drrn_q_values(target_params, cfg,
                            [s["next_obs"] for s in batch],
-                           [s["next_acts"] for s in batch])
+                           [s["next_acts"] for s in batch], memo)
     size = len(batch)
     targets = np.zeros(size)
     for i, sample in enumerate(batch):
@@ -232,9 +258,11 @@ def tdqn_init(rng: np.random.Generator, cfg: ModelConfig, n_templates: int,
 
 
 def tdqn_forward(params: Params, cfg: ModelConfig,
-                 obs_batch: list[TokenChannels]
+                 obs_batch: list[TokenChannels], memo: dict | None = None
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    nu_o, obs_cache = encode_observations(params, cfg, obs_batch)
+    """The three heads' Q values and a cache; given a memo, forward only
+    (see `encode_observations`)."""
+    nu_o, obs_cache = encode_observations(params, cfg, obs_batch, memo)
     pre, trunk_cache = linear_forward(params, "trunk", nu_o)
     hidden = relu(pre)
     q_t, t_cache = linear_forward(params, "head_t", hidden)
@@ -269,7 +297,8 @@ def binary_cross_entropy(logits: np.ndarray,
 
 
 def tdqn_loss(params: Params, target_params: Params, cfg: ModelConfig,
-              batch: list[dict], gamma: float, lambda_mix: float = 0.5
+              batch: list[dict], gamma: float, lambda_mix: float = 0.5,
+              memo: dict | None = None
               ) -> tuple[float, float, float, Params, np.ndarray]:
     """Mixed objective: (1 - lambda) * TD + lambda * valid-action BCE.
 
@@ -286,7 +315,7 @@ def tdqn_loss(params: Params, target_params: Params, cfg: ModelConfig,
     q_t, q_o1, q_o2, cache = tdqn_forward(params, cfg,
                                           [s["obs"] for s in batch])
     nq_t, nq_o1, nq_o2, _ = tdqn_forward(target_params, cfg,
-                                         [s["next_obs"] for s in batch])
+                                         [s["next_obs"] for s in batch], memo)
     dq_t = np.zeros_like(q_t)
     dq_o1 = np.zeros_like(q_o1)
     dq_o2 = np.zeros_like(q_o2)

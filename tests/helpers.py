@@ -1,6 +1,7 @@
 """Shared test machinery: fixture batches, full-coordinate FD checks, the
 per-gate GRU that the fused one in textquest.agents.nn is checked against,
-and the eager parser, full-scan diff and field-by-field encoder that the
+the forward passes that re-encode the target network on every update, and
+the eager parser, full-scan diff and field-by-field encoder that the
 engine's and the world's are checked against."""
 
 import json
@@ -8,7 +9,8 @@ import struct
 
 import numpy as np
 
-from textquest.agents.models import ModelConfig
+from textquest.agents.models import (ModelConfig, drrn_q_values,
+                                     tdqn_forward)
 from textquest.engine import check_preconditions, visible_objects
 from textquest.grammar import SLOT, ParseKind, ParseOutcome, tokenize
 from textquest.world import (ATTRIBUTES, KINDS, SNAPSHOT_MAGIC,
@@ -177,6 +179,21 @@ def reference_gru_backward(params, cache, dh):
         dx_all[:, t, :] = dx
         dh = dh_prev
     return grads, dx_all
+
+
+# -- reference forward passes -------------------------------------------------------
+# The learners read the target network's encodings from a memo kept for one
+# target generation. These forms encode every call's batch afresh, through a
+# new memo when the learner passes one, as if the memo lived for one update.
+
+
+def reference_drrn_q_values(params, cfg, obs_list, act_lists, memo=None):
+    return drrn_q_values(params, cfg, obs_list, act_lists,
+                         None if memo is None else {})
+
+
+def reference_tdqn_forward(params, cfg, obs_batch, memo=None):
+    return tdqn_forward(params, cfg, obs_batch, None if memo is None else {})
 
 
 def rewrite_checkpoint(src, dst, edit=None, arrays=None, drop=()):

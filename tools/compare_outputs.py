@@ -6,10 +6,13 @@ Each checkout is imported in its own subprocess (its `src` and `tests`
 directories go first on sys.path), which runs a fixed set of seeded jobs
 and prints a JSON digest of their outputs:
 
-* DRRN and TDQN on the tinybox test game (seeds 7 and 8, plus two
-  early-stopping configs) and on mailhouse (DRRN 600 and TDQN 1500 env
-  steps, seed 3): the learning curve, a hash of the final parameters, the
-  update count, the early-stop step and three evaluation episodes;
+* DRRN and TDQN on the tinybox test game (seeds 7 and 8, two
+  early-stopping configs, and seed 7 at target_sync=0, where the target is
+  the live network) and on mailhouse (DRRN 600 and TDQN 1500 env steps,
+  seed 3, plus runs that cross many target syncs: DRRN 2000 steps at
+  target_sync=20 and TDQN 3000 steps at target_sync=50): the learning
+  curve, a hash of the final parameters, the update count, the early-stop
+  step and three evaluation episodes;
 * `bench.run_benchmark` over every bundled game at seeds 1 and 17;
 * random-agent training curves on tinybox and mailhouse;
 * `sim`: every bundled game at seeds 1, 2 and 3 played for 60
@@ -26,8 +29,8 @@ and prints a JSON digest of their outputs:
 Learner, benchmark and simulator outputs must match byte for byte. A
 random curve may differ only by the new checkout dropping a final episode
 that the old one recorded when the step budget ran out, i.e. one that had
-not ended. Exits 0 when every job agrees, 1 otherwise. Takes about a
-minute per checkout.
+not ended. Exits 0 when every job agrees, 1 otherwise. Takes about two
+minutes per checkout.
 """
 
 import hashlib
@@ -142,10 +145,18 @@ def dump(root: str) -> dict:
         out[f"tiny-{agent}-stop1"] = learner(
             games["tiny"], tiny_cfg(agent=agent, early_stop_score=1.0,
                                     rolling_window=4, max_env_steps=3000), 8)
+        out[f"tiny-{agent}-sync0"] = learner(
+            games["tiny"], tiny_cfg(agent=agent, target_sync=0), 7)
     out["mail-drrn-3"] = learner(
         games["mail"], TrainConfig(agent="drrn", max_env_steps=600), 3)
     out["mail-tdqn-3"] = learner(
         games["mail"], TrainConfig(agent="tdqn", max_env_steps=1500), 3)
+    out["mail-drrn-sync20"] = learner(
+        games["mail"], TrainConfig(agent="drrn", max_env_steps=2000,
+                                   target_sync=20), 3)
+    out["mail-tdqn-sync50"] = learner(
+        games["mail"], TrainConfig(agent="tdqn", max_env_steps=3000,
+                                   target_sync=50), 3)
     bundled = {name: load_bundled(name) for name in bundled_game_names()}
     for seed in (1, 17):
         out[f"bench-{seed}"] = bench.run_benchmark(bundled, seed).to_json()
