@@ -75,9 +75,7 @@ _META_KEYS = ("agent", "train_config", "model_config", "tokenizer_words",
               "updates")
 CURVE_HEADER = "episode,steps,return,score"
 
-FULL_HANDICAPS = Handicaps(fixed_seed=True, load_save=True,
-                           templates_vocab=True, object_tree=True,
-                           valid_action_detection=True)
+FULL_HANDICAPS = Handicaps()
 RANDOM_HANDICAPS = Handicaps(fixed_seed=True, load_save=False,
                              templates_vocab=False, object_tree=False,
                              valid_action_detection=False)

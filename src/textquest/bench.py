@@ -28,7 +28,7 @@ import numpy as np
 
 from .env import EPISODE_STEP_CAP
 from .gamedefs import GameDef
-from .agents.training import run_random
+from .agents.training import RANDOM_HANDICAPS, run_random
 
 REPORT_VERSION = 1
 
@@ -167,8 +167,10 @@ class BenchReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def validate_report(data: dict) -> list[str]:
-    """Schema check for a report dict; returns a list of problems."""
+def validate_report(data) -> list[str]:
+    """Schema check for a decoded report; returns a list of problems."""
+    if not isinstance(data, dict):
+        return ["a report must be a JSON object"]
     problems = []
     if data.get("version") != REPORT_VERSION:
         problems.append(f"version must be {REPORT_VERSION}")
@@ -178,6 +180,9 @@ def validate_report(data: dict) -> list[str]:
         rows = []
     for i, row in enumerate(rows):
         where = f"rows[{i}]"
+        if not isinstance(row, dict):
+            problems.append(f"{where}: a row must be a JSON object")
+            continue
         for key in ("game", "agent", "runs", "mean_score", "std_score",
                     "max_score"):
             if key not in row:
@@ -193,9 +198,15 @@ def validate_report(data: dict) -> list[str]:
     if not isinstance(aggregate, dict) or \
             "normalized_completion" not in aggregate:
         problems.append("aggregate.normalized_completion is required")
-    elif aggregate.get("negatives") not in NEGATIVE_MODES:
-        problems.append(f"aggregate.negatives must be one of "
-                        f"{NEGATIVE_MODES}")
+    else:
+        completion = aggregate["normalized_completion"]
+        if not isinstance(completion, (int, float)) or \
+                isinstance(completion, bool):
+            problems.append("aggregate.normalized_completion must be a "
+                            "number")
+        if aggregate.get("negatives") not in NEGATIVE_MODES:
+            problems.append(f"aggregate.negatives must be one of "
+                            f"{NEGATIVE_MODES}")
     return problems
 
 
@@ -210,7 +221,7 @@ def run_benchmark(games: dict[str, GameDef], seed: int, episodes: int = 10,
         scores = [r.score for r in records]
         rows.append(BenchRow(
             game=name, agent="random",
-            handicaps=("fixed_seed",),
+            handicaps=RANDOM_HANDICAPS.names(),
             runs=len(records),
             mean_score=float(np.mean(scores)),
             std_score=float(np.std(scores)),

@@ -19,22 +19,18 @@ import sys
 import numpy as np
 
 from . import engine
-from .agents.training import (AGENT_KINDS, TrainConfig, evaluate,
-                              load_checkpoint, result_from_checkpoint,
-                              save_checkpoint, train, write_learning_curve,
-                              CheckpointError)
+from .agents.training import (AGENT_KINDS, FULL_HANDICAPS, TrainConfig,
+                              evaluate, load_checkpoint,
+                              result_from_checkpoint, save_checkpoint, train,
+                              write_learning_curve, CheckpointError)
 from .bench import run_benchmark, validate_report
-from .env import Environment, Handicaps, format_transcript_block
+from .env import Environment, format_transcript_block
 from .gamedefs import (GameFileError, GameValidationError, bundled_game_names,
                        load_bundled, load_game)
 from .grammar import action_space_size, template_space_upper_bound
 from .env import verify_walkthrough
 
 OK, FAILURE, INPUT_ERROR = 0, 1, 2
-
-PLAY_HANDICAPS = Handicaps(fixed_seed=True, load_save=True,
-                           templates_vocab=True, object_tree=True,
-                           valid_action_detection=True)
 
 
 class _InputError(Exception):
@@ -81,7 +77,7 @@ def _print_tree(env: Environment) -> None:
 
 def _cmd_play(args) -> int:
     game = _load_any_game(args.game)
-    env = Environment(game, PLAY_HANDICAPS)
+    env = Environment(game, FULL_HANDICAPS)
     seed = _pick_seed(args)
     obs, info = env.reset(seed=seed)
     print(f"{game.title} (seed {info['seed']}, max score {game.max_score})")
@@ -232,7 +228,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_valid_actions(args) -> int:
     game = _load_any_game(args.game)
-    env = Environment(game, PLAY_HANDICAPS)
+    env = Environment(game, FULL_HANDICAPS)
     env.reset(seed=args.seed if args.seed is not None else 0)
     for command in [c.strip() for c in (args.do or "").split(";") if
                     c.strip()]:
@@ -269,7 +265,7 @@ def _cmd_bench(args) -> int:
         try:
             with open(args.check, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise _InputError(f"cannot read report: {exc}") from exc
         problems = validate_report(data)
         if problems:

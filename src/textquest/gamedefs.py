@@ -1,17 +1,22 @@
 """Game definitions: the static description a game file deserializes into.
 
 A GameDef is immutable and shared; episode state lives in WorldState. The
-JSON schema is documented in docs/game-format.md and enforced by validate(),
-which raises on structural errors and returns a list of advisory warnings.
+record dataclasses are the JSON schema (documented in docs/game-format.md):
+one decoder reads and one encoder writes every record, so saving and loading
+round-trip. validate() raises on structural errors and returns a list of
+advisory warnings.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
-from functools import cached_property
+from dataclasses import (MISSING, dataclass, field, fields, is_dataclass,
+                         replace)
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from . import grammar as gr
 from .world import ATTRIBUTES, KINDS, ObjectNode, ROOT_ID
@@ -83,23 +88,31 @@ class ScoreRule:
     ends: bool = False
 
 
-@dataclass(frozen=True)
+# A room's exits by direction, by room id.
+Exits = dict[int, dict[str, Exit]]
+
+
+@dataclass(frozen=True, kw_only=True)
 class GameDef:
+    """A whole game. Its fields are the top level of the JSON schema, in
+    key order; `parents` holds each object's "parent" key."""
+
+    format_version: int = FORMAT_VERSION
     title: str
-    objects: tuple[ObjectNode, ...]
-    parents: dict[int, int]
-    exits: dict[int, dict[str, Exit]]
-    grammar: tuple[gr.GrammarRule, ...]
-    score_rules: tuple[ScoreRule, ...]
+    intro_text: str = ""
     max_score: int
     start_room: int
-    intro_text: str = ""
-    dark_rooms: frozenset[int] = frozenset()
     inventory_limit: int | None = None
+    dark_rooms: frozenset[int] = frozenset()
     traits: frozenset[str] = frozenset()
-    walkthrough: tuple[str, ...] = ()
     expected_template_count: int | None = None
-    format_version: int = FORMAT_VERSION
+    objects: tuple[ObjectNode, ...] = ()
+    parents: dict[int, int] = field(default_factory=dict,
+                                    metadata={"json": False})
+    exits: Exits = field(default_factory=dict)
+    grammar: tuple[gr.GrammarRule, ...] = ()
+    score_rules: tuple[ScoreRule, ...] = ()
+    walkthrough: tuple[str, ...] = ()
 
     @cached_property
     def _rules_by_head(self) -> dict:
@@ -138,18 +151,46 @@ class GameDef:
         raise GameValidationError(["game has no player object"])
 
 
-# -- JSON decoding ------------------------------------------------------------
-# Every value is type-checked as it is read, so a malformed file fails with
-# GameFileError naming the field, and validate() only sees well-typed data.
-
-_REQUIRED = object()
+# -- JSON coding ---------------------------------------------------------------
+# The record dataclasses are the schema: a field's annotation gives its JSON
+# type, a field with no default is required, and null is allowed only where
+# the default is None. Every value is type-checked as it is read, so a
+# malformed file fails with GameFileError naming the field, and validate()
+# only sees well-typed data. By hand are only format_version, the exit
+# tables and each object's "parent" key.
 
 _JSON_TYPE = {dict: "an object", list: "a list", str: "a string",
               int: "an integer", bool: "true or false"}
 
-# record field annotation -> (JSON type, null allowed)
-_FIELD_TYPE = {"str": (str, False), "bool": (bool, False),
-               "str | None": (str, True), "int | None": (int, True)}
+# the record names that "unknown ... field(s)" errors use
+_WHAT = {GameDef: "game", ObjectNode: "object", gr.GrammarRule: "grammar rule",
+         ScoreRule: "score rule"}
+
+
+@dataclass(frozen=True)
+class _Field:
+    name: str
+    type: object  # the annotation, with "| None" taken off
+    default: object  # MISSING for a required field
+
+
+@cache
+def _schema(cls) -> tuple[frozenset[str], tuple[_Field, ...]]:
+    """The JSON keys record class `cls` accepts, and its JSON fields."""
+    hints = get_type_hints(cls)
+    schema = []
+    for f in fields(cls):
+        if f.metadata.get("json", True):
+            tp = hints[f.name]
+            if get_origin(tp) is UnionType:
+                tp = get_args(tp)[0]
+            default = f.default if f.default_factory is MISSING else \
+                f.default_factory()
+            schema.append(_Field(f.name, tp, default))
+    keys = {f.name for f in schema}
+    if cls is ObjectNode:  # read by parse_game into GameDef.parents
+        keys.add("parent")
+    return frozenset(keys), tuple(schema)
 
 
 def _typed(value, want: type, path: str, nullable: bool = False):
@@ -163,123 +204,89 @@ def _typed(value, want: type, path: str, nullable: bool = False):
     return value
 
 
-def _field(data: dict, key: str, path: str, want: type, default=_REQUIRED):
-    """data[key] checked against `want`; null is allowed when the default
-    is None."""
-    if key not in data:
-        if default is _REQUIRED:
-            raise GameFileError(f"{path}: missing required field '{key}'")
-        return default
-    return _typed(data[key], want, f"{path}.{key}", nullable=default is None)
-
-
-def _items(data: dict, key: str, path: str, want: type,
-           default=_REQUIRED) -> tuple:
-    """A list field whose every item has JSON type `want`."""
-    items = _field(data, key, path, list, default)
-    return tuple(_typed(v, want, f"{path}.{key}[{i}]")
-                 for i, v in enumerate(items))
-
-
-def _known(data, path: str, what: str, keys) -> dict:
-    """`data` if it is a JSON object whose every key is one of `keys`."""
+def _record(cls, data, path: str):
+    """Record class `cls` decoded from a JSON object."""
+    keys, schema = _schema(cls)
     data = _typed(data, dict, path)
     extra = set(data).difference(keys)
     if extra:
+        what = _WHAT.get(cls, cls.__name__.lower())
         raise GameFileError(f"{path}: unknown {what} field(s) {sorted(extra)}")
-    return data
-
-
-def _names(cls, *more: str) -> list[str]:
-    return [f.name for f in fields(cls)] + list(more)
-
-
-def _record(cls, data, path: str, what: str, **nested):
-    """Build a flat record class from a JSON object: unknown fields are
-    rejected, `kind` is required, and values must match the annotations."""
-    data = _known(data, path, what, _names(cls))
-    types = {f.name: _FIELD_TYPE[f.type] for f in fields(cls)
-             if f.name not in nested}
-    _field(data, "kind", path, str)
     values = {}
-    for key, value in data.items():
-        if key not in nested:
-            want, nullable = types[key]
-            values[key] = _typed(value, want, f"{path}.{key}", nullable)
-    return cls(**nested, **values)
+    for f in schema:
+        if f.name in data:
+            # the game's records are located from the file: "src:objects[2]"
+            inner = f"{path}:{f.name}" if cls is GameDef else None
+            values[f.name] = _decode(f.type, data[f.name], f"{path}.{f.name}",
+                                     inner, nullable=f.default is None)
+        elif f.default is MISSING:
+            raise GameFileError(f"{path}: missing required field '{f.name}'")
+    return cls(**values)
 
 
-def _decode_object(data, path: str) -> tuple[ObjectNode, int | None]:
-    data = _known(data, path, "object", _names(ObjectNode, "parent"))
-    node = ObjectNode(
-        id=_field(data, "id", path, int),
-        names=_items(data, "names", path, str),
-        kind=_field(data, "kind", path, str),
-        attributes=_items(data, "attributes", path, str, ()),
-        key_id=_field(data, "key_id", path, int, None),
-        capacity=_field(data, "capacity", path, int, None),
-        text=_field(data, "text", path, str, ""),
-        read_text=_field(data, "read_text", path, str, None),
-    )
-    return node, _field(data, "parent", path, int, None)
+def _decode(tp, value, path: str, inner: str | None = None,
+            nullable: bool = False):
+    """`value` decoded as annotation `tp`; `inner` is the path prefix of
+    the records a list or an exit table holds, if not `path`."""
+    if value is None and nullable:
+        return None
+    if tp in _JSON_TYPE:
+        return _typed(value, tp, path)
+    if is_dataclass(tp):
+        return _record(tp, value, path)
+    inner = path if inner is None else inner
+    if tp == Exits:
+        return _decode_exits(value, path, inner)
+    item = get_args(tp)[0]  # tuple[item, ...] or frozenset[item]
+    prefix = inner if is_dataclass(item) else path
+    return get_origin(tp)(_decode(item, v, f"{prefix}[{i}]")
+                          for i, v in enumerate(_typed(value, list, path)))
 
 
-def _decode_rule(data, path: str) -> gr.GrammarRule:
-    data = _known(data, path, "grammar rule", _names(gr.GrammarRule))
-    return gr.GrammarRule(
-        id=_field(data, "id", path, str),
-        pattern=_field(data, "pattern", path, str),
-        effect=_record(gr.Effect, _field(data, "effect", path, dict),
-                       f"{path}.effect", "effect"),
-        preconditions=tuple(
-            _record(gr.Precondition, p, f"{path}.preconditions[{i}]",
-                    "precondition")
-            for i, p in enumerate(_field(data, "preconditions", path, list,
-                                         ()))),
-        text=_field(data, "text", path, str, None),
-        failure_text=_field(data, "failure_text", path, str, None),
-    )
-
-
-def _decode_score_rule(data, path: str) -> ScoreRule:
-    data = _known(data, path, "score rule", _names(ScoreRule))
-    tpath = f"{path}.trigger"
-    tdata = _field(data, "trigger", path, dict)
-    conditions = tuple(
-        _record(Condition, c, f"{tpath}.conditions[{i}]", "condition")
-        for i, c in enumerate(_field(tdata, "conditions", tpath, list, ())))
-    return ScoreRule(
-        trigger=_record(Trigger, tdata, tpath, "trigger",
-                        conditions=conditions),
-        points=_field(data, "points", path, int),
-        once=_field(data, "once", path, bool, True),
-        ends=_field(data, "ends", path, bool, False),
-    )
-
-
-def _decode_exit(value, path: str) -> Exit:
-    if isinstance(value, dict):
-        value = _known(value, path, "exit", _names(Exit))
-        return Exit(to=_field(value, "to", path, int),
-                    requires_open=_field(value, "requires_open", path, int,
-                                         None))
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Exit(to=value)
-    raise GameFileError(f"{path}: exit must be a room id or an object")
-
-
-def _decode_exits(data: dict, source: str) -> dict[int, dict[str, Exit]]:
-    exits: dict[int, dict[str, Exit]] = {}
-    for room_key, table in _field(data, "exits", source, dict, {}).items():
-        path = f"{source}:exits[{room_key}]"
+def _decode_exits(data, path: str, inner: str) -> Exits:
+    exits: Exits = {}
+    for room_key, table in _typed(data, dict, path).items():
+        at = f"{inner}[{room_key}]"
         try:
             room = int(room_key)
         except (TypeError, ValueError):
-            raise GameFileError(f"{path}: room key must be an integer id") \
+            raise GameFileError(f"{at}: room key must be an integer id") \
                 from None
-        exits[room] = {direction: _decode_exit(v, f"{path}.{direction}")
-                       for direction, v in _typed(table, dict, path).items()}
+        exits[room] = {direction: _decode_exit(v, f"{at}.{direction}")
+                       for direction, v in _typed(table, dict, at).items()}
     return exits
+
+
+def _decode_exit(value, path: str) -> Exit:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Exit(to=value)
+    if isinstance(value, dict):
+        return _record(Exit, value, path)
+    raise GameFileError(f"{path}: exit must be a room id or an object")
+
+
+def _encode(value, keep: tuple[str, ...] = ()):
+    """JSON for a decoded value. A record field is left out when it equals
+    its default and has the default's type (a 0 where None is the default
+    is written), unless it is named in `keep`."""
+    if is_dataclass(value):
+        data = {}
+        for f in _schema(type(value))[1]:
+            v = getattr(value, f.name)
+            if f.name in keep or type(v) is not type(f.default) or \
+                    v != f.default:
+                data[f.name] = _encode(v)
+        return data
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, dict):  # the exit tables
+        return {str(room): {direction: ex.to if ex.requires_open is None
+                            else _encode(ex)
+                            for direction, ex in table.items()}
+                for room, table in value.items()}
+    return value
 
 
 def parse_game(data: dict, source: str = "<data>") -> GameDef:
@@ -290,41 +297,19 @@ def parse_game(data: dict, source: str = "<data>") -> GameDef:
     """
     data = _typed(data, dict, source)
     version = data.get("format_version", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise GameFileError(
             f"{source}: unsupported format_version {version} "
             f"(this build reads version {FORMAT_VERSION})")
-    _known(data, source, "game", [k for k in _names(GameDef)
-                                  if k != "parents"])
-    objects = []
-    parents: dict[int, int] = {}
-    for i, odata in enumerate(_field(data, "objects", source, list, ())):
-        node, parent = _decode_object(odata, f"{source}:objects[{i}]")
-        objects.append(node)
+    game = _record(GameDef, data, source)
+    parents = {}
+    for i, (node, entry) in enumerate(zip(game.objects,
+                                          data.get("objects", ()))):
+        parent = _typed(entry.get("parent"), int,
+                        f"{source}:objects[{i}].parent", nullable=True)
         if parent is not None:
             parents[node.id] = parent
-    game = GameDef(
-        title=_field(data, "title", source, str),
-        objects=tuple(objects),
-        parents=parents,
-        exits=_decode_exits(data, source),
-        grammar=tuple(
-            _decode_rule(r, f"{source}:grammar[{i}]")
-            for i, r in enumerate(_field(data, "grammar", source, list, ()))),
-        score_rules=tuple(
-            _decode_score_rule(s, f"{source}:score_rules[{i}]")
-            for i, s in enumerate(_field(data, "score_rules", source, list,
-                                         ()))),
-        max_score=_field(data, "max_score", source, int),
-        start_room=_field(data, "start_room", source, int),
-        intro_text=_field(data, "intro_text", source, str, ""),
-        dark_rooms=frozenset(_items(data, "dark_rooms", source, int, ())),
-        inventory_limit=_field(data, "inventory_limit", source, int, None),
-        traits=frozenset(_items(data, "traits", source, str, ())),
-        walkthrough=_items(data, "walkthrough", source, str, ()),
-        expected_template_count=_field(data, "expected_template_count",
-                                       source, int, None),
-    )
+    game = replace(game, parents=parents)
     validate(game)
     return game
 
@@ -333,7 +318,7 @@ def load_game(path: str | Path) -> GameDef:
     path = Path(path)
     try:
         raw = path.read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise GameFileError(f"cannot read game file {path}: {err}") from err
     try:
         data = json.loads(raw)
@@ -345,88 +330,15 @@ def load_game(path: str | Path) -> GameDef:
     return parse_game(data, source=str(path))
 
 
-# -- serialization -------------------------------------------------------------
-
-
-def _clean(data: dict) -> dict:
-    return {k: v for k, v in data.items() if v is not None}
-
-
 def serialize_game(game: GameDef) -> dict:
-    """GameDef back to schema JSON. load(serialize(g)) == g."""
-    objects = []
-    for obj in sorted(game.objects, key=lambda o: o.id):
-        entry = _clean({
-            "id": obj.id,
-            "names": list(obj.names),
-            "kind": obj.kind,
-            "attributes": sorted(obj.attributes) or None,
-            "parent": game.parents.get(obj.id),
-            "key_id": obj.key_id,
-            "capacity": obj.capacity,
-            "text": obj.text or None,
-            "read_text": obj.read_text,
-        })
-        objects.append(entry)
-    exits = {}
-    for room in sorted(game.exits):
-        table = {}
-        for direction, ex in sorted(game.exits[room].items()):
-            if ex.requires_open is None:
-                table[direction] = ex.to
-            else:
-                table[direction] = {"to": ex.to,
-                                    "requires_open": ex.requires_open}
-        exits[str(room)] = table
-    rules = []
-    for rule in game.grammar:
-        rules.append(_clean({
-            "id": rule.id,
-            "pattern": rule.pattern,
-            "effect": _clean({
-                f.name: getattr(rule.effect, f.name)
-                for f in fields(gr.Effect)
-                if getattr(rule.effect, f.name) not in (None, False)}),
-            "preconditions": [
-                _clean({f.name: getattr(p, f.name)
-                        for f in fields(gr.Precondition)})
-                for p in rule.preconditions] or None,
-            "text": rule.text,
-            "failure_text": rule.failure_text,
-        }))
-    score_rules = []
-    for sr in game.score_rules:
-        trigger = _clean({
-            "kind": sr.trigger.kind,
-            "room": sr.trigger.room,
-            "obj": sr.trigger.obj,
-            "rule": sr.trigger.rule,
-            "conditions": [
-                _clean({f.name: getattr(c, f.name) for f in fields(Condition)})
-                for c in sr.trigger.conditions] or None,
-        })
-        entry = {"trigger": trigger, "points": sr.points}
-        if not sr.once:
-            entry["once"] = False
-        if sr.ends:
-            entry["ends"] = True
-        score_rules.append(entry)
-    return _clean({
-        "format_version": game.format_version,
-        "title": game.title,
-        "intro_text": game.intro_text,
-        "max_score": game.max_score,
-        "start_room": game.start_room,
-        "inventory_limit": game.inventory_limit,
-        "dark_rooms": sorted(game.dark_rooms) or None,
-        "traits": sorted(game.traits) or None,
-        "expected_template_count": game.expected_template_count,
-        "objects": objects,
-        "exits": exits,
-        "grammar": rules,
-        "score_rules": score_rules or None,
-        "walkthrough": list(game.walkthrough) or None,
-    })
+    """GameDef back to schema JSON: parse_game(serialize_game(g)) == g."""
+    # version 1 files have always carried these, even at their defaults
+    data = _encode(game, keep=("format_version", "intro_text", "objects",
+                               "exits", "grammar"))
+    for entry in data.get("objects", ()):
+        if entry["id"] in game.parents:
+            entry["parent"] = game.parents[entry["id"]]
+    return data
 
 
 def save_game(game: GameDef, path: str | Path) -> None:

@@ -280,6 +280,24 @@ def test_bench_check_unreadable_report(tmp_path, capsys):
     assert "cannot read report" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"[1]", "schema: a report must be a JSON object"),
+    (b'{"version": 1, "rows": [5], "aggregate": {}}',
+     "schema: rows[0]: a row must be a JSON object"),
+    (b'{"version": 1, "rows": "\xff"}', "error: cannot read report"),
+    (b'{"version": 1, "rows": [{"game": "g", "agent": "random", '
+     b'"handicaps": [], "runs": 1, "mean_score": 0, "std_score": 0, '
+     b'"max_score": 1}], "aggregate": {"normalized_completion": "x", '
+     b'"negatives": "clip"}}',
+     "schema: aggregate.normalized_completion must be a number"),
+], ids=["list-report", "number-row", "non-utf8", "text-completion"])
+def test_bench_check_malformed_report(tmp_path, capsys, content, message):
+    path = tmp_path / "report.json"
+    path.write_bytes(content)
+    assert main(["bench", "--check", str(path)]) == INPUT_ERROR
+    assert message in capsys.readouterr().err.splitlines()[0]
+
+
 def test_bench_prints_json_to_stdout(capsys):
     rc = main(["bench", "--games", "brasskey", "--episodes", "1",
                "--seed", "3"])
@@ -315,6 +333,14 @@ def test_verify_reports_failure(tmp_path, capsys):
     path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["verify", str(path)]) == FAILURE
     assert "FAILED" in capsys.readouterr().out
+
+
+def test_verify_rejects_non_utf8_game_file(tmp_path, capsys):
+    path = tmp_path / "bad.game.json"
+    path.write_bytes(json.dumps(tinybox_dict()).encode() + b"\xff")
+    assert main(["verify", str(path)]) == INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load game") and "utf-8" in err
 
 
 def test_module_entry_point():

@@ -2,16 +2,19 @@
 
 import copy
 import json
+import re
 from importlib import resources
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from textquest.engine import init_state
 from textquest.gamedefs import (GameFileError, GameValidationError,
-                                bundled_game_names, load_bundled, load_game,
-                                parse_game, save_game, serialize_game,
-                                validate)
+                                ScoreRule, _record, bundled_game_names,
+                                load_bundled, load_game, parse_game,
+                                save_game, serialize_game, validate)
+from textquest.grammar import GrammarRule
 
 
 # -- bundled games -------------------------------------------------------------------
@@ -58,6 +61,13 @@ def test_load_game_reports_json_position(tmp_path):
         load_game(path)
 
 
+def test_load_game_rejects_non_utf8_bytes(tmp_path):
+    path = tmp_path / "latin1.game.json"
+    path.write_bytes(b'{"title": "caf\xe9\xff"}\n')
+    with pytest.raises(GameFileError, match="cannot read game file"):
+        load_game(path)
+
+
 def test_load_game_rejects_non_object(tmp_path):
     path = tmp_path / "list.game.json"
     path.write_text("[1, 2, 3]\n")
@@ -69,6 +79,14 @@ def test_parse_rejects_future_format_version(tinybox_data):
     data = copy.deepcopy(tinybox_data)
     data["format_version"] = 99
     with pytest.raises(GameFileError, match="format_version"):
+        parse_game(data)
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1", None])
+def test_parse_requires_an_integer_format_version(tinybox_data, version):
+    data = copy.deepcopy(tinybox_data)
+    data["format_version"] = version
+    with pytest.raises(GameFileError, match="unsupported format_version"):
         parse_game(data)
 
 
@@ -178,6 +196,7 @@ DELETE = object()
 @given(st.sampled_from(list(_json_paths(MAILHOUSE_JSON))),
        st.sampled_from([None, 1, -1, 0, 2 ** 40, True, 1.5, "x", "", [], [1],
                         ["x"], {}, {"x": 1}, DELETE]))
+@example(("grammar", 16, "effect", "value"), 0)  # a set-global to zero
 def test_single_field_mutation_raises_only_documented_errors(where, value):
     data = copy.deepcopy(MAILHOUSE_JSON)
     node = data
@@ -191,8 +210,9 @@ def test_single_field_mutation_raises_only_documented_errors(where, value):
         game = parse_game(data)
     except (GameFileError, GameValidationError):
         return
-    # a file that parses must also start and snapshot
+    # a file that parses must also start and snapshot, and save and load
     init_state(game, 0).snapshot().restore()
+    assert parse_game(serialize_game(game)) == game
 
 
 def _record_keys(node, prefix=()):
@@ -218,6 +238,15 @@ def test_renamed_field_is_rejected_with_its_path(where):
     node[where[-1] + "x"] = node.pop(where[-1])
     with pytest.raises(GameFileError, match=f"{where[-1]}x"):
         parse_game(data)
+
+
+def test_format_doc_examples_decode():
+    doc = (Path(__file__).parents[1] / "docs" / "game-format.md").read_text(
+        encoding="utf-8")
+    rule, score_rule = (json.loads(block) for block in
+                        re.findall(r"```json\n(.*?)```", doc, re.S))
+    assert _record(GrammarRule, rule, "doc").effect.kind == "unlock-with"
+    assert _record(ScoreRule, score_rule, "doc").trigger.obj == 15
 
 
 # -- validation ----------------------------------------------------------------------
@@ -328,6 +357,34 @@ def test_serialize_is_json_and_stable(tinybox):
     text = json.dumps(blob, sort_keys=True)
     assert json.loads(text) == blob
     assert serialize_game(parse_game(blob)) == blob
+
+
+def _with_zero_effect(data):
+    data["grammar"][-1]["effect"]["value"] = 0
+
+
+def _with_zero_precondition(data):
+    data["grammar"][-1]["preconditions"].append(
+        {"kind": "global_is", "name": "gong_strikes", "value": 0})
+
+
+def _with_zero_condition(data):
+    data["score_rules"].append(
+        {"trigger": {"kind": "state_reached", "conditions": [
+            {"kind": "global_is", "name": "gong_strikes", "value": 0}]},
+         "points": 0})
+
+
+@pytest.mark.parametrize("mutate", [_with_zero_effect,
+                                    _with_zero_precondition,
+                                    _with_zero_condition])
+def test_zero_values_survive_save_and_load(tinybox_data, mutate, tmp_path):
+    mutate(tinybox_data)
+    game = parse_game(tinybox_data)
+    assert parse_game(serialize_game(game)) == game
+    path = tmp_path / "zero.game.json"
+    save_game(game, path)
+    assert load_game(path) == game
 
 
 def test_serialize_omits_empty_fields(tinybox):

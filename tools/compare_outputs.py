@@ -24,27 +24,38 @@ and prints a JSON digest of their outputs:
   with identify_valid_actions run before each step on the default fillers
   and on explicit filler lists (the game's item names, unknown, empty,
   upper-case and two-word names), dedup off and on, then observation()
-  and "look" after the episode has ended.
+  and "look" after the episode has ended;
+* `gamejson`: every bundled game's JSON as shipped and mutated one field
+  at a time (each value set to each of GAMEJSON_VALUES, deleted, and each
+  key of a JSON object renamed), run through parse_game; each case's
+  outcome is the exception type and message, or a hash of serialize_game's
+  output.
 
 Learner, benchmark and simulator outputs must match byte for byte. A
 random curve may differ only by the new checkout dropping a final episode
 that the old one recorded when the step budget ran out, i.e. one that had
-not ended. Exits 0 when every job agrees, 1 otherwise. Takes about two
+not ended. Exits 0 when every job agrees, 1 otherwise; a `gamejson` job that
+differs lists each differing case with both outcomes. Takes about three
 minutes per checkout.
 """
 
+import copy
 import hashlib
 import json
 import os
 import random
 import subprocess
 import sys
+from importlib import resources
 
 RANDOM_BUDGETS = (("tiny", 400), ("tiny", 1200), ("mail", 3000))
 SIM_SEEDS = (1, 2, 3)
 SIM_TURNS = 60
 ODD_FILLERS = ((), ("xyzzy",), ("LAMP", "Key", "box"), ("brass key", "lamp"),
                ("", "take", "north"))
+GAMEJSON_VALUES = (None, 1, -1, 0, 2 ** 40, True, 1.5, "x", "", [], [1],
+                   ["x"], {}, {"x": 1})
+DELETE, RENAME = object(), object()
 
 
 def sim(game, seed: int) -> str:
@@ -106,6 +117,52 @@ def sweep(game, seed: int) -> str:
     return digest.hexdigest()
 
 
+def _json_paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+def gamejson(text: str) -> dict[str, str]:
+    """Outcome of parse_game on the game JSON `text` and on each of its
+    single-field mutations, by case name."""
+    from textquest.gamedefs import parse_game, serialize_game
+
+    def outcome(data) -> str:
+        try:
+            game = parse_game(data)
+        except Exception as err:  # an undocumented type is an outcome too
+            return f"{type(err).__name__}: {err}"
+        blob = json.dumps(serialize_game(game), sort_keys=True).encode()
+        return "parsed " + hashlib.sha256(blob).hexdigest()[:16]
+
+    def mutated(where, edit):
+        data = json.loads(text)
+        node = data
+        for key in where[:-1]:
+            node = node[key]
+        if edit is DELETE:
+            del node[where[-1]]
+        elif edit is RENAME:
+            node[f"{where[-1]}x"] = node.pop(where[-1])
+        else:
+            node[where[-1]] = copy.deepcopy(edit)
+        return data
+
+    cases = {"as shipped": outcome(json.loads(text))}
+    for where in _json_paths(json.loads(text)):
+        name = "/".join(map(str, where))
+        edits = [(f"{name} = {json.dumps(v)}", v) for v in GAMEJSON_VALUES]
+        edits.append((f"{name} deleted", DELETE))
+        if isinstance(where[-1], str):
+            edits.append((f"{name} renamed", RENAME))
+        for case, edit in edits:
+            cases[case] = outcome(mutated(where, edit))
+    return cases
+
+
 def dump(root: str) -> dict:
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "tests")]
     from conftest import tinybox_dict
@@ -164,6 +221,9 @@ def dump(root: str) -> dict:
         for seed in SIM_SEEDS:
             out[f"sim-{name}-{seed}"] = sim(game, seed)
         out[f"sweep-{name}"] = sweep(game, 1)
+        out[f"gamejson-{name}"] = gamejson(
+            (resources.files("textquest") / "games" / f"{name}.game.json")
+            .read_text(encoding="utf-8"))
     for name, steps in RANDOM_BUDGETS:
         for seed in (1, 2):
             cfg = TrainConfig(agent="random", max_env_steps=steps)
@@ -202,6 +262,11 @@ def main(argv: list[str]) -> int:
             same, note = old[key] == new[key], ""
         failed += not same
         print(f"{'agrees' if same else 'DIFFERS'} {key}{note}")
+        if key.startswith("gamejson-") and not same:
+            for case in sorted(old[key].keys() | new[key].keys()):
+                if old[key].get(case) != new[key].get(case):
+                    print(f"  {case}\n    old: {old[key].get(case)}\n"
+                          f"    new: {new[key].get(case)}")
     print(f"{len(old) - failed}/{len(old)} jobs agree")
     return 1 if failed else 0
 
