@@ -43,7 +43,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from ..env import EPISODE_STEP_CAP, Environment, Handicaps, StepResult
-from ..gamedefs import GameDef
+from ..gamedefs import GameDef, _LruCache
 from ..grammar import fill_template
 from ..rng import SplitMix64
 from .models import (ModelConfig, TokenChannels, drrn_init, drrn_loss,
@@ -414,27 +414,6 @@ def _rollout(agent: "_Agent", cfg: TrainConfig, seed_rng: SplitMix64,
 
 
 # -- agents ------------------------------------------------------------------------
-
-
-class _LruCache(dict):
-    """A valid-action cache that keeps its `capacity` most recently used
-    entries. Detection is pure, so an eviction costs only a new sweep."""
-
-    def __init__(self, capacity: int) -> None:
-        super().__init__()
-        self.capacity = capacity
-
-    def get(self, key, default=None):
-        if key not in self:
-            return default
-        self[key] = value = self.pop(key)
-        return value
-
-    def __setitem__(self, key, value) -> None:
-        self.pop(key, None)
-        super().__setitem__(key, value)
-        if len(self) > self.capacity:
-            del self[next(iter(self))]
 
 
 class _Agent:

@@ -6,7 +6,8 @@ only at an effect's first tree edit, so the state it returns may share the
 input's tree: copy a state before editing its tree. A `Situation` is a
 read-only view of one state that holds what every command parsed against
 that state shares (the visible objects, the noun map, the score triggers'
-values), so a valid-action sweep computes them once. All gameplay rules
+values) and each command's result, so a valid-action sweep computes them
+once and a step after the sweep reuses its probe. All gameplay rules
 funnel through the ten effect kinds in grammar.EFFECT_KINDS plus a small set
 of engine guards (you cannot open what is locked, carry past the inventory
 limit, or put a box inside itself) so authored games stay declarative.
@@ -15,6 +16,7 @@ limit, or put a box inside itself) so authored games stay declarative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .gamedefs import Condition, GameDef, ScoreRule, Trigger
 from .grammar import (GrammarRule, ParseKind, ParseOutcome, Precondition,
@@ -26,6 +28,8 @@ MSG_UNPARSEABLE = "That's not a verb I recognise."
 MSG_UNRESOLVED = "You can't see any such thing."
 MSG_CANT = "You can't do that."
 MSG_DARKNESS = "It is pitch black here. You can't see a thing."
+
+WORDS_CACHE_CAPACITY = 4096  # distinct command texts whose tokens are kept
 
 # Every fixed phrase the engine can print, so text tokenizers built from a
 # game definition cover engine output as well as authored text.
@@ -161,11 +165,17 @@ def visible_objects(state: WorldState, game: GameDef) -> list[int]:
     return sorted(set(out))
 
 
+@lru_cache(maxsize=WORDS_CACHE_CAPACITY)
+def _words(text: str) -> tuple[str, ...]:
+    """tokenize(text), kept for the commands a sweep repeats every turn."""
+    return tuple(tokenize(text))
+
+
 def may_edit_tree(game: GameDef, text: str) -> bool:
     """False when `text` cannot change the object tree in any state: every
     rule it can match (`GameDef.rules_led_by`) emits text or sets a global,
     and score rules never edit the tree."""
-    words = tokenize(text)
+    words = _words(text)
     return bool(words) and any(
         rule.effect.kind not in ("emit-text", "set-global")
         for rule in game.rules_led_by(len(words), words[0]))
@@ -193,14 +203,17 @@ class _once:
 class Situation:
     """Read-only view of one state, shared by every command run against it.
 
-    Each value is computed on first use. The state must not change while
-    the view is in use; `execute` never changes its input state.
+    Each value is computed on first use, and `results` keeps each command's
+    CommandResult, so `execute` answers a repeated command with the same
+    object. The state must not change while the view is in use; `execute`
+    never changes its input state.
     """
 
     def __init__(self, state: WorldState, game: GameDef) -> None:
         self.state = state
         self.game = game
         self._triggers: dict[int, bool] = {}
+        self.results: dict[str, CommandResult] = {}
 
     @_once
     def visible(self) -> list[int]:
@@ -247,7 +260,7 @@ def _parse(ctx: Situation, text: str
            ) -> tuple[ParseOutcome, GrammarRule | None, bool]:
     """parse_command's outcome, plus the chosen rule and whether its
     preconditions hold."""
-    words = tokenize(text)
+    words = _words(text)
     if not words:
         return ParseOutcome(ParseKind.UNPARSEABLE), None, False
     saw_pattern = False
@@ -674,12 +687,22 @@ def execute(state: WorldState, game: GameDef, text: str,
     The moves counter increments exactly when the command is accepted, i.e.
     it parsed to a rule whose preconditions held and whose effect applied.
     Rejected commands return the input state object unchanged. `ctx`, a
-    Situation of this same state and game, lets many commands share it.
+    Situation of this same state and game, lets many commands share it and
+    answers a command it has run before with the same CommandResult, so
+    treat a returned state as read-only: copy it before editing.
     """
     if ctx is None:
         ctx = Situation(state, game)
     elif ctx.state is not state or ctx.game is not game:
         raise EngineError("the situation belongs to another state or game")
+    result = ctx.results.get(text)
+    if result is None:
+        result = ctx.results[text] = _execute(ctx, text)
+    return result
+
+
+def _execute(ctx: Situation, text: str) -> CommandResult:
+    state, game = ctx.state, ctx.game
     outcome, rule, ok = _parse(ctx, text)
     if rule is None:
         message = MSG_UNRESOLVED if outcome.kind is ParseKind.UNRESOLVED \

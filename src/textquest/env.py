@@ -146,7 +146,6 @@ class Environment:
         self._cache = valid_action_cache if valid_action_cache is not None \
             else {}
         self._situation: engine.Situation | None = None
-        self._probes = None  # (fillers, the fillings that may edit the tree)
 
     # -- gating ---------------------------------------------------------------
 
@@ -299,8 +298,10 @@ class Environment:
         """Probe every template filling and keep those that changed the tree.
 
         Probes never change the live state, so its hash is identical before
-        and after; they share one engine.Situation of it. Fillings that
-        cannot edit the tree (engine.may_edit_tree) are not probed. Fillers
+        and after; they share one engine.Situation of it, which answers a
+        step that repeats a probe. Fillings that cannot edit the tree
+        (engine.may_edit_tree) are not probed; the game keeps the list of
+        fillings to probe per filler list (GameDef.probe_lists). Fillers
         default to interactive_objects(). Results are cached per (situation,
         fillers, dedup): validity depends on neither the move counter nor
         the score, but diff hashes do, so a cache hit keeps the hashes of
@@ -317,15 +318,16 @@ class Environment:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        if self._probes is None or self._probes[0] != fillers:
-            self._probes = fillers, tuple(
+        probes = self.game.probe_lists.get(fillers)
+        if probes is None:
+            probes = self.game.probe_lists[fillers] = tuple(
                 cand for cand in enumerate_candidates(self._templates,
                                                       fillers)
                 if engine.may_edit_tree(self.game, cand.surface))
         kept: list[ActionCandidate] = []
         hashes: list[int] = []
         seen_diffs: dict[int, str] = {}
-        for cand in self._probes[1]:
+        for cand in probes:
             result = engine.execute(state, self.game, cand.surface, ctx)
             if not result.diff.tree:
                 continue

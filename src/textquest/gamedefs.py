@@ -30,6 +30,8 @@ TRIGGER_KINDS = ("enter_room", "acquire", "state_reached", "action_pattern")
 CONDITION_KINDS = ("has_attr", "lacks_attr", "parent_is", "global_is",
                    "global_ge", "player_in")
 
+PROBE_LISTS_CAPACITY = 128  # filler lists per game, see GameDef.probe_lists
+
 
 class GameFileError(Exception):
     """A game file could not be read or decoded."""
@@ -92,6 +94,26 @@ class ScoreRule:
 Exits = dict[int, dict[str, Exit]]
 
 
+class _LruCache(dict):
+    """A dict that keeps its `capacity` most recently used entries."""
+
+    def __init__(self, capacity: int) -> None:
+        super().__init__()
+        self.capacity = capacity
+
+    def get(self, key, default=None):
+        if key not in self:
+            return default
+        self[key] = value = self.pop(key)
+        return value
+
+    def __setitem__(self, key, value) -> None:
+        self.pop(key, None)
+        super().__setitem__(key, value)
+        if len(self) > self.capacity:
+            del self[next(iter(self))]
+
+
 @dataclass(frozen=True, kw_only=True)
 class GameDef:
     """A whole game. Its fields are the top level of the JSON schema, in
@@ -129,6 +151,12 @@ class GameDef:
         those led by `first` or by an object slot, in authored order."""
         table = self._rules_by_head
         return table.get((length, first)) or table.get((length, gr.SLOT), ())
+
+    @cached_property
+    def probe_lists(self) -> _LruCache:
+        """Filler tuple -> the template fillings a valid-action sweep with
+        those fillers probes; every environment of this game shares it."""
+        return _LruCache(PROBE_LISTS_CAPACITY)
 
     @cached_property
     def nouns(self) -> frozenset[str]:
@@ -252,6 +280,8 @@ def _decode_exits(data, path: str, inner: str) -> Exits:
         except (TypeError, ValueError):
             raise GameFileError(f"{at}: room key must be an integer id") \
                 from None
+        if str(room) != room_key:  # "01" and "+1" would name room 1 too
+            raise GameFileError(f"{at}: room key must be written {room}")
         exits[room] = {direction: _decode_exit(v, f"{at}.{direction}")
                        for direction, v in _typed(table, dict, at).items()}
     return exits

@@ -13,7 +13,8 @@ it shares nodes with. For the same reason each node caches its own snapshot
 record bytes (`ObjectNode.record`): the cache cannot go stale, copies share
 it, and encoding a state joins those bytes with each node's three links.
 A state may share its whole tree with another (`WorldState.fork`), so edit
-only the tree of a state you copied.
+only the tree of a state you copied. The tree keeps that join
+(`WorldObjectTree.body`) until its next edit, for every state sharing it.
 
 Sibling chains are kept in ascending-id order at all times. Child order is
 therefore derived from the parent map, which keeps three contracts mutually
@@ -133,6 +134,8 @@ class WorldObjectTree:
 
     `player` is the id of the first player node, recorded when the tree is
     built or decoded (kinds never change), or None when there is none.
+    Edit a built tree only through `reparent` and `set_attr`, which drop
+    the cached encoding (`body`); a direct write to the maps leaves it stale.
     """
 
     def __init__(self) -> None:
@@ -141,6 +144,7 @@ class WorldObjectTree:
         self.first_child: dict[int, int | None] = {}
         self.sibling: dict[int, int | None] = {}
         self.player: int | None = None
+        self._body: bytes | None = None
 
     @classmethod
     def build(cls, nodes: list[ObjectNode],
@@ -240,6 +244,7 @@ class WorldObjectTree:
         if self.in_subtree(new_parent, obj):
             raise TreeError(
                 f"reparenting {obj} under {new_parent} would create a cycle")
+        self._body = None
         self._detach(obj)
         self._attach(obj, new_parent)
 
@@ -249,7 +254,25 @@ class WorldObjectTree:
             raise TreeError(f"unknown object {obj} or attribute '{attr}'")
         node = self.nodes[obj]
         attrs = node.attributes | {attr} if on else node.attributes - {attr}
+        self._body = None
         self.nodes[obj] = replace(node, attributes=attrs)
+
+    def body(self) -> bytes:
+        """The tree's part of a snapshot: node count, then each node's record
+        and links in id order. Cached until the next edit."""
+        if self._body is None:
+            nodes, parent = self.nodes, self.parent
+            first_child, sibling = self.first_child, self.sibling
+            parts = [struct.pack("<I", len(nodes))]
+            for obj_id in sorted(nodes):
+                up, down, side = (parent[obj_id], first_child[obj_id],
+                                  sibling[obj_id])
+                parts.append(nodes[obj_id].record)
+                parts.append(_pack_links(-1 if up is None else up,
+                                         -1 if down is None else down,
+                                         -1 if side is None else side))
+            self._body = b"".join(parts)
+        return self._body
 
     # -- integrity ---------------------------------------------------------
 
@@ -329,18 +352,8 @@ class WorldState:
         an absent counter and an explicit zero encode identically.
         """
         flags = (1 if include_counters else 0) | (2 if include_rng else 0)
-        parts = [SNAPSHOT_MAGIC, struct.pack("<BB", SNAPSHOT_VERSION, flags)]
-        tree = self.tree
-        nodes, parent = tree.nodes, tree.parent
-        first_child, sibling = tree.first_child, tree.sibling
-        parts.append(struct.pack("<I", len(nodes)))
-        for obj_id in sorted(nodes):
-            up, down, side = (parent[obj_id], first_child[obj_id],
-                              sibling[obj_id])
-            parts.append(nodes[obj_id].record)
-            parts.append(_pack_links(-1 if up is None else up,
-                                     -1 if down is None else down,
-                                     -1 if side is None else side))
+        parts = [SNAPSHOT_MAGIC, struct.pack("<BB", SNAPSHOT_VERSION, flags),
+                 self.tree.body()]
         live_globals = {k: v for k, v in self.globals.items() if v != 0}
         parts.append(struct.pack("<I", len(live_globals)))
         for key in sorted(live_globals):

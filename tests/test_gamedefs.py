@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from textquest.engine import init_state
-from textquest.gamedefs import (GameFileError, GameValidationError,
+from textquest.gamedefs import (Exit, GameFileError, GameValidationError,
                                 ScoreRule, _record, bundled_game_names,
                                 load_bundled, load_game, parse_game,
                                 save_game, serialize_game, validate)
@@ -167,6 +167,16 @@ def test_parse_rejects_non_integer_exit_room(tinybox_data):
     data["exits"] = {"hall": {"north": 1}}
     with pytest.raises(GameFileError, match=r"exits\[hall\]"):
         parse_game(data)
+
+
+@pytest.mark.parametrize("key", ["01", " 1", "1 ", "+1", "1_0", "-0", "١"])
+def test_parse_rejects_non_canonical_exit_room_keys(tinybox_data, key):
+    data = copy.deepcopy(tinybox_data)
+    data["exits"] = {"1": {"north": 1}, key: {"south": 1}}
+    with pytest.raises(GameFileError, match=r"room key must be written"):
+        parse_game(data)
+    data["exits"] = {"1": {"north": 1}}
+    assert parse_game(data).exits == {1: {"north": Exit(to=1)}}
 
 
 def test_parse_allows_null_for_optional_fields(tinybox_data):

@@ -1,0 +1,160 @@
+"""What a turn computes once and reuses: the tree's cached snapshot body,
+each Situation's command results and each game's probe lists, checked
+against the plain computations they stand for."""
+
+import random
+
+import pytest
+
+from helpers import reference_encode
+from test_state_sharing import GAMES, ODD_FILLERS, _game
+from textquest import gamedefs
+from textquest.engine import Situation, execute, init_state, may_edit_tree
+from textquest.env import Environment
+from textquest.gamedefs import load_bundled
+from textquest.grammar import enumerate_candidates
+from textquest.world import WorldState
+
+
+def _assert_encodes_like_reference(state: WorldState) -> None:
+    for counters in (True, False):
+        for rng in (True, False):
+            assert state.encode(counters, rng) == \
+                reference_encode(state, counters, rng)
+    assert state.tree.body() is state.tree.body()  # kept, not rebuilt
+
+
+# -- the tree's cached encoding -------------------------------------------------
+
+
+@pytest.mark.parametrize("name", GAMES)
+def test_cached_encoding_matches_reference_on_every_walkthrough_state(name):
+    game = load_bundled(name)
+    env = Environment(game)
+    env.reset(seed=2)
+    for i, command in enumerate(game.walkthrough):
+        state = env.state
+        _assert_encodes_like_reference(state)
+        env.identify_valid_actions()
+        for text in ("xyzzy", "take", "north north"):  # all rejected
+            result = env.step(text)
+            assert result.moves == state.moves and env.state is state
+            _assert_encodes_like_reference(state)
+        snapshot = env.save()
+        if i % 3 == 0:
+            env.load(snapshot)
+            assert env.state is not state
+            _assert_encodes_like_reference(env.state)
+            assert env.state.encode() == snapshot.data
+        env.step(command)
+        fork = env.state.fork()
+        assert fork.tree.body() is env.state.tree.body()
+        _assert_encodes_like_reference(fork)
+    assert env.done
+    _assert_encodes_like_reference(env.state)
+
+
+def test_reparent_and_set_attr_drop_the_cached_encoding():
+    game = load_bundled("mailhouse")
+    state = init_state(game, 0)
+    item = next(i for i, n in sorted(state.tree.nodes.items())
+                if n.kind == "item")
+    before = state.encode()
+    edits = (lambda tree: tree.reparent(item, tree.player),
+             lambda tree: tree.set_attr(item, "open"),
+             lambda tree: tree.set_attr(item, "open", on=False))
+    twin = state.copy()
+    for edit in edits:
+        body = twin.tree.body()
+        edit(twin.tree)
+        assert twin.tree.body() != body
+        _assert_encodes_like_reference(twin)
+    assert state.encode() == before  # the copy never shared the cache
+
+
+# -- command results kept per Situation ---------------------------------------------
+
+
+def _fields(state, result):
+    after = result.state
+    return (result.observation, result.outcome, result.applied,
+            result.reward, result.diff, result.diff.diff_hash(),
+            after is state, after.tree is state.tree, after.encode(),
+            dict(after.globals))
+
+
+@pytest.mark.parametrize("name", GAMES + ("headbox",))
+def test_a_repeated_command_equals_a_run_on_a_fresh_situation(name):
+    game = _game(name)
+    env = Environment(game)
+    env.reset(seed=3)
+    rng = random.Random(3)
+    templates = game.templates()
+    repeated = 0
+    for _ in range(12):
+        if env.done:
+            break
+        state = env.state
+        ctx = Situation(state, game)
+        fillers = env.interactive_objects()
+        surfaces = [c.surface for c in enumerate_candidates(templates,
+                                                            fillers)]
+        surfaces += ["look", "inventory", "take all", "xyzzy", ""]
+        first = {text: execute(state, game, text, ctx) for text in surfaces}
+        for text in surfaces:
+            again = execute(state, game, text, ctx)
+            assert again is first[text], text
+            fresh = execute(state, game, text)
+            assert fresh is not again
+            assert _fields(state, again) == _fields(state, fresh), text
+            repeated += 1
+        valid = env.identify_valid_actions()
+        env.step(rng.choice(valid.surfaces or ("look",)))
+    assert repeated > 100
+
+
+def test_the_step_after_a_sweep_returns_its_probe_result():
+    game = load_bundled("brasskey")
+    env = Environment(game)
+    env.reset(seed=0)
+    probed = {}
+    for text in env.identify_valid_actions().surfaces:
+        probed[text] = execute(env.state, game, text, env._ctx())
+    text = sorted(probed)[0]
+    result = env.step(text)
+    assert env.state is probed[text].state
+    assert result.observation == probed[text].observation
+
+
+# -- probe lists kept per game ----------------------------------------------------
+
+
+def _probe_list(game, fillers):
+    return tuple(c for c in enumerate_candidates(game.templates(), fillers)
+                 if may_edit_tree(game, c.surface))
+
+
+@pytest.mark.parametrize("name", GAMES + ("headbox",))
+def test_probe_lists_match_enumeration_and_stay_bounded(name, monkeypatch):
+    monkeypatch.setattr(gamedefs, "PROBE_LISTS_CAPACITY", 3)
+    game = _game(name)
+    items = sorted(o.name for o in game.objects if o.kind == "item")
+    two_word = sorted({n for o in game.objects for n in o.names if " " in n})
+    envs = [Environment(game, valid_action_cache={}) for _ in range(2)]
+    for env in envs:
+        env.reset(seed=1)
+    filler_lists = [None, items, items[::-1], two_word + items[:1],
+                    *ODD_FILLERS]
+    keys = set()
+    for i, fillers in enumerate(filler_lists * 2):
+        env = envs[i % 2]
+        for dedup in (False, True):
+            env.identify_valid_actions(fillers, dedup=dedup)
+        key = tuple(env.interactive_objects() if fillers is None
+                    else fillers)
+        keys.add(key)
+        assert game.probe_lists[key] == _probe_list(game, key)
+        assert len(game.probe_lists) <= 3
+    assert len(keys) > 3  # so entries were evicted and built again
+    # both environments of the game share one memo
+    assert envs[0].game.probe_lists is envs[1].game.probe_lists

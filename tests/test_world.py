@@ -222,18 +222,21 @@ def _nameless(state, data):
 
 
 def _dangling_link(state, data):
-    state.tree.sibling[13] = 99
-    return state.encode()
+    bad = state.copy()  # a copy starts with no cached encoding
+    bad.tree.sibling[13] = 99
+    return bad.encode()
 
 
 def _sibling_cycle(state, data):
-    state.tree.sibling[13] = 10
-    return state.encode()
+    bad = state.copy()
+    bad.tree.sibling[13] = 10
+    return bad.encode()
 
 
 def _orphan(state, data):
-    state.tree.first_child[11] = None  # the egg still names 11 as parent
-    return state.encode()
+    bad = state.copy()
+    bad.tree.first_child[11] = None  # the egg still names 11 as parent
+    return bad.encode()
 
 
 @pytest.mark.parametrize("corrupt", [_duplicate_id, _bad_utf8, _nameless,

@@ -25,6 +25,13 @@ and prints a JSON digest of their outputs:
   and on explicit filler lists (the game's item names, unknown, empty,
   upper-case and two-word names), dedup off and on, then observation()
   and "look" after the episode has ended;
+* `memo`: every bundled game played through its walkthrough, asking each
+  state everything twice: two observations, identify_valid_actions on the
+  default, reversed and two-word fillers with dedup off and on, every
+  probe surface executed twice on one Situation, a rejected step, the
+  step, and now and then a load of an earlier snapshot queried the same
+  way before the walk goes on; digesting every text, surface, diff hash,
+  snapshot and state_hash;
 * `gamejson`: every bundled game's JSON as shipped and mutated one field
   at a time (each value set to each of GAMEJSON_VALUES, deleted, and each
   key of a JSON object renamed), run through parse_game; each case's
@@ -114,6 +121,60 @@ def sweep(game, seed: int) -> str:
     look = execute(env.state, game, "look")
     digest.update(repr((env.observation(), env.identify_valid_actions(),
                         look.observation, look.reward, look.diff)).encode())
+    return digest.hexdigest()
+
+
+def memo(game, seed: int) -> str:
+    """Digest of a walkthrough whose every state is queried twice over."""
+    from textquest.engine import Situation, execute, may_edit_tree
+    from textquest.env import Environment
+    from textquest.grammar import enumerate_candidates
+
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+
+    def add(value) -> None:
+        digest.update(value if isinstance(value, bytes) else
+                      repr(value).encode())
+
+    env = Environment(game)
+    env.reset(seed=seed)
+    two_word = tuple(sorted({n for obj in game.objects for n in obj.names
+                             if " " in n}))
+
+    def query() -> None:
+        for _ in range(2):
+            add(env.observation())
+        default = tuple(env.interactive_objects())
+        for objects in (None, default[::-1], two_word + default[:1]):
+            for dedup in (False, True):
+                valid = env.identify_valid_actions(objects, dedup=dedup)
+                add((valid.surfaces, valid.diff_hashes))
+        ctx = Situation(env.state, game)
+        for cand in enumerate_candidates(game.templates(), default):
+            if may_edit_tree(game, cand.surface):
+                for _ in range(2):
+                    r = execute(env.state, game, cand.surface, ctx)
+                    add((r.observation, r.outcome, r.applied, r.reward,
+                         r.diff, r.diff.diff_hash()))
+                    add(r.state.snapshot().data)
+        add((env.state_hash(), env.save().data))
+
+    saved = []
+    for command in game.walkthrough:
+        query()
+        add(env.step("xyzzy"))
+        add(env.step(command))
+        saved.append(env.save())
+        add((env.state_hash(), saved[-1].data))
+        if rng.random() < 0.25:
+            env.load(rng.choice(saved))
+            query()
+            env.load(saved[-1])
+            query()
+    if not env.done:
+        raise RuntimeError(f"{game.title}: the walkthrough did not end it")
+    query()
     return digest.hexdigest()
 
 
@@ -221,6 +282,7 @@ def dump(root: str) -> dict:
         for seed in SIM_SEEDS:
             out[f"sim-{name}-{seed}"] = sim(game, seed)
         out[f"sweep-{name}"] = sweep(game, 1)
+        out[f"memo-{name}"] = memo(game, 1)
         out[f"gamejson-{name}"] = gamejson(
             (resources.files("textquest") / "games" / f"{name}.game.json")
             .read_text(encoding="utf-8"))
