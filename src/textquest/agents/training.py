@@ -42,7 +42,8 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from ..env import EPISODE_STEP_CAP, Environment, Handicaps, StepResult
+from ..env import (EPISODE_STEP_CAP, VALID_CACHE_CAPACITY, Environment,
+                   Handicaps, StepResult)
 from ..gamedefs import GameDef, _LruCache
 from ..grammar import fill_template
 from ..rng import SplitMix64
@@ -59,10 +60,6 @@ AGENT_KINDS = ("random", "drrn", "tdqn")
 # The fixed command set a no-knowledge agent samples from.
 CANONICAL_ACTIONS = ("north", "south", "east", "west", "up", "down", "look",
                      "inventory", "take all", "drop", "yes")
-
-# Entries a learner's valid-action cache keeps, least recently used going
-# first; about 0.9 KB each. Only sparsereward DRRN outgrows it by 20k steps.
-VALID_CACHE_CAPACITY = 4096
 
 CHECKPOINT_VERSION = 1
 # what numpy's .npz reader can raise on damaged bytes (NotImplementedError,
@@ -175,7 +172,10 @@ class TrainConfig:
                 raise ValueError(f"override '{pair}' is not key=value")
             if key not in types:
                 raise ValueError(f"unknown config field '{key}'")
-            updates[key] = _coerce(raw, types[key])
+            try:
+                updates[key] = _coerce(raw, types[key])
+            except ValueError as err:
+                raise ValueError(f"{key}: {err}") from None
         return replace(self, **updates)
 
 
@@ -580,8 +580,7 @@ class _TdqnAgent(_Learner):
     """Template agent: one head for the template, one per blank's word."""
 
     def _setup(self, game: GameDef) -> None:
-        self.envs = [Environment(game, FULL_HANDICAPS, valid_action_cache=(
-            _LruCache(VALID_CACHE_CAPACITY)))]
+        self.envs = [Environment(game, FULL_HANDICAPS)]
         self.template_defs = game.templates()
         self.templates = tuple(t.surface for t in self.template_defs)
         self.words = game.vocabulary().words

@@ -16,7 +16,7 @@ limit, or put a box inside itself) so authored games stay declarative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .gamedefs import Condition, GameDef, ScoreRule, Trigger
 from .grammar import (GrammarRule, ParseKind, ParseOutcome, Precondition,
@@ -186,20 +186,6 @@ def extract_nouns(text: str, game: GameDef) -> list[str]:
     return sorted(game.nouns.intersection(tokenize(text)))
 
 
-class _once:
-    """functools.cached_property without the lock that Python 3.11 takes on
-    every first access, which costs a fresh Situation more than it saves."""
-
-    def __init__(self, fn) -> None:
-        self.fn, self.name = fn, fn.__name__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
 class Situation:
     """Read-only view of one state, shared by every command run against it.
 
@@ -215,11 +201,11 @@ class Situation:
         self._triggers: dict[int, bool] = {}
         self.results: dict[str, CommandResult] = {}
 
-    @_once
+    @cached_property
     def visible(self) -> list[int]:
         return visible_objects(self.state, self.game)
 
-    @_once
+    @cached_property
     def nouns(self) -> dict[str, int]:
         """Name -> visible object; the lowest id wins a shared name."""
         nodes = self.state.tree.nodes

@@ -14,13 +14,17 @@ from functools import cached_property
 from typing import Iterable
 
 from . import engine
-from .gamedefs import GameDef
+from .gamedefs import GameDef, _LruCache
 from .grammar import (ActionCandidate, ParseKind, Template, Vocabulary,
                       enumerate_candidates)
 from .world import (ObjectNode, Snapshot, SnapshotError, WorldState,
                     state_diff, universe_node)
 
 EPISODE_STEP_CAP = 100  # valid steps per episode under the benchmark protocol
+
+# Entries a default valid-action cache keeps, least recently used going
+# first; about 0.9 KB each. Only sparsereward DRRN outgrows it by 20k steps.
+VALID_CACHE_CAPACITY = 4096
 
 
 class CapabilityError(Exception):
@@ -144,7 +148,7 @@ class Environment:
         self._prev_action = ""
         self._seed: int | None = None
         self._cache = valid_action_cache if valid_action_cache is not None \
-            else {}
+            else _LruCache(VALID_CACHE_CAPACITY)
         self._situation: engine.Situation | None = None
 
     # -- gating ---------------------------------------------------------------

@@ -243,38 +243,32 @@ def _record(cls, data, path: str):
     values = {}
     for f in schema:
         if f.name in data:
-            # the game's records are located from the file: "src:objects[2]"
-            inner = f"{path}:{f.name}" if cls is GameDef else None
             values[f.name] = _decode(f.type, data[f.name], f"{path}.{f.name}",
-                                     inner, nullable=f.default is None)
+                                     nullable=f.default is None)
         elif f.default is MISSING:
             raise GameFileError(f"{path}: missing required field '{f.name}'")
     return cls(**values)
 
 
-def _decode(tp, value, path: str, inner: str | None = None,
-            nullable: bool = False):
-    """`value` decoded as annotation `tp`; `inner` is the path prefix of
-    the records a list or an exit table holds, if not `path`."""
+def _decode(tp, value, path: str, nullable: bool = False):
+    """`value` decoded as annotation `tp`."""
     if value is None and nullable:
         return None
     if tp in _JSON_TYPE:
         return _typed(value, tp, path)
     if is_dataclass(tp):
         return _record(tp, value, path)
-    inner = path if inner is None else inner
     if tp == Exits:
-        return _decode_exits(value, path, inner)
+        return _decode_exits(value, path)
     item = get_args(tp)[0]  # tuple[item, ...] or frozenset[item]
-    prefix = inner if is_dataclass(item) else path
-    return get_origin(tp)(_decode(item, v, f"{prefix}[{i}]")
+    return get_origin(tp)(_decode(item, v, f"{path}[{i}]")
                           for i, v in enumerate(_typed(value, list, path)))
 
 
-def _decode_exits(data, path: str, inner: str) -> Exits:
+def _decode_exits(data, path: str) -> Exits:
     exits: Exits = {}
     for room_key, table in _typed(data, dict, path).items():
-        at = f"{inner}[{room_key}]"
+        at = f"{path}[{room_key}]"
         try:
             room = int(room_key)
         except (TypeError, ValueError):
@@ -336,7 +330,7 @@ def parse_game(data: dict, source: str = "<data>") -> GameDef:
     for i, (node, entry) in enumerate(zip(game.objects,
                                           data.get("objects", ()))):
         parent = _typed(entry.get("parent"), int,
-                        f"{source}:objects[{i}].parent", nullable=True)
+                        f"{source}.objects[{i}].parent", nullable=True)
         if parent is not None:
             parents[node.id] = parent
     game = replace(game, parents=parents)

@@ -1,13 +1,12 @@
 """World model: a forest of objects plus scalar episode state.
 
-Objects live in a parent/first-child/sibling forest under a synthetic
-"universe" root. Rooms hang off the root, items hang off rooms, containers, or
-the player; the player's parent is the room they stand in and the player's
-children are the inventory.
+Objects hang off a synthetic "universe" root by their parent ids. Rooms hang
+off the root, items hang off rooms, containers, or the player; the player's
+parent is the room they stand in and the player's children are the inventory.
 
 Object nodes are immutable, so copies of a tree share them: copying a state
-copies four link/node dicts and the globals, never a node. Every edit goes
-through `WorldObjectTree.reparent` (links) or `WorldObjectTree.set_attr`
+copies three id-keyed dicts and the globals, never a node. Every edit goes
+through `WorldObjectTree.reparent` (parents) or `WorldObjectTree.set_attr`
 (which swaps in a new node), so an edit to a copy never reaches the states
 it shares nodes with. For the same reason each node caches its own snapshot
 record bytes (`ObjectNode.record`): the cache cannot go stale, copies share
@@ -16,11 +15,12 @@ A state may share its whole tree with another (`WorldState.fork`), so edit
 only the tree of a state you copied. The tree keeps that join
 (`WorldObjectTree.body`) until its next edit, for every state sharing it.
 
-Sibling chains are kept in ascending-id order at all times. Child order is
-therefore derived from the parent map, which keeps three contracts mutually
-consistent: a single take produces a single-entry diff, diffs are empty
-exactly when hashes agree, and two encodings of equal states are
-byte-identical.
+The parent map is the only structure; each node's children, in ascending-id
+order, are an index derived from it, and the first-child and next-sibling
+links of the snapshot format are derived from that index. So a single take
+produces a single-entry diff, diffs are empty exactly when hashes agree, and
+two encodings of equal states are byte-identical. Restore rejects stored
+links that differ from the ones the stored parent ids derive.
 """
 
 from __future__ import annotations
@@ -130,7 +130,9 @@ def _first_player(nodes: dict[int, ObjectNode]) -> int | None:
 
 
 class WorldObjectTree:
-    """Forest of ObjectNodes linked by parent/first_child/sibling ids.
+    """Forest of ObjectNodes: each node's parent id, indexed by `kids`, each
+    node's children in ascending-id order. A copy shares the index's tuples,
+    and an edit replaces the two it changes.
 
     `player` is the id of the first player node, recorded when the tree is
     built or decoded (kinds never change), or None when there is none.
@@ -141,8 +143,7 @@ class WorldObjectTree:
     def __init__(self) -> None:
         self.nodes: dict[int, ObjectNode] = {}
         self.parent: dict[int, int | None] = {}
-        self.first_child: dict[int, int | None] = {}
-        self.sibling: dict[int, int | None] = {}
+        self.kids: dict[int, tuple[int, ...]] = {}
         self.player: int | None = None
         self._body: bytes | None = None
 
@@ -155,31 +156,22 @@ class WorldObjectTree:
         entry is attached to it.
         """
         tree = cls()
+        tree.parent[ROOT_ID] = None
         for node in [universe_node(), *nodes]:
             if node.id in tree.nodes:
                 raise TreeError(f"duplicate object id {node.id}")
-            tree.nodes[node.id] = node
-            for links in (tree.parent, tree.first_child, tree.sibling):
-                links[node.id] = None
-        for node in sorted(nodes, key=lambda n: n.id):
-            tree._attach(node.id, parents.get(node.id, ROOT_ID))
+            tree.nodes[node.id], tree.kids[node.id] = node, ()
+        for obj in sorted(node.id for node in nodes):
+            tree.parent[obj] = up = parents.get(obj, ROOT_ID)
+            tree.kids[up] += (obj,)  # ascending ids, so each tuple is sorted
         tree.player = _first_player(tree.nodes)
         return tree
 
     # -- traversal ---------------------------------------------------------
 
     def children(self, obj: int) -> list[int]:
-        """Children of `obj` in chain order; raises TreeError if it loops."""
-        out = []
-        child = self.first_child[obj]
-        sibling = self.sibling
-        # a chain holds each node at most once, so a longer walk has looped
-        for _ in range(len(self.nodes) + 1):
-            if child is None:
-                return out
-            out.append(child)
-            child = sibling[child]
-        raise TreeError(f"sibling chain of {obj} loops")
+        """Children of `obj` in ascending-id order."""
+        return list(self.kids[obj])
 
     def ancestors(self, obj: int) -> Iterator[int]:
         cur = self.parent[obj]
@@ -203,36 +195,6 @@ class WorldObjectTree:
 
     # -- edits -------------------------------------------------------------
 
-    def _detach(self, obj: int) -> None:
-        p = self.parent[obj]
-        if p is None:
-            return
-        if self.first_child[p] == obj:
-            self.first_child[p] = self.sibling[obj]
-        else:
-            cur = self.first_child[p]
-            while cur is not None and self.sibling[cur] != obj:
-                cur = self.sibling[cur]
-            if cur is None:
-                raise TreeError(f"sibling chain of {p} does not contain {obj}")
-            self.sibling[cur] = self.sibling[obj]
-        self.parent[obj] = None
-        self.sibling[obj] = None
-
-    def _attach(self, obj: int, parent: int) -> None:
-        # insert in ascending-id position so chains stay canonical
-        first = self.first_child[parent]
-        if first is None or obj < first:
-            self.sibling[obj] = first
-            self.first_child[parent] = obj
-        else:
-            cur = first
-            while self.sibling[cur] is not None and self.sibling[cur] < obj:
-                cur = self.sibling[cur]
-            self.sibling[obj] = self.sibling[cur]
-            self.sibling[cur] = obj
-        self.parent[obj] = parent
-
     def reparent(self, obj: int, new_parent: int) -> None:
         """Move `obj` (and its subtree) under `new_parent`, in place."""
         if obj not in self.nodes:
@@ -245,8 +207,10 @@ class WorldObjectTree:
             raise TreeError(
                 f"reparenting {obj} under {new_parent} would create a cycle")
         self._body = None
-        self._detach(obj)
-        self._attach(obj, new_parent)
+        old, kids = self.parent[obj], self.kids
+        kids[old] = tuple(kid for kid in kids[old] if kid != obj)
+        kids[new_parent] = tuple(sorted((*kids[new_parent], obj)))
+        self.parent[obj] = new_parent
 
     def set_attr(self, obj: int, attr: str, on: bool = True) -> None:
         """Turn `attr` on or off for `obj`, in place, by replacing its node."""
@@ -259,59 +223,56 @@ class WorldObjectTree:
 
     def body(self) -> bytes:
         """The tree's part of a snapshot: node count, then each node's record
-        and links in id order. Cached until the next edit."""
+        and links (parent, first child, next sibling) in id order. Cached
+        until the next edit."""
         if self._body is None:
-            nodes, parent = self.nodes, self.parent
-            first_child, sibling = self.first_child, self.sibling
+            nodes, parent, kids = self.nodes, self.parent, self.kids
             parts = [struct.pack("<I", len(nodes))]
             for obj_id in sorted(nodes):
-                up, down, side = (parent[obj_id], first_child[obj_id],
-                                  sibling[obj_id])
+                up, down = parent[obj_id], kids[obj_id]
+                row = (obj_id,) if up is None else kids[up]
+                at = row.index(obj_id) + 1
                 parts.append(nodes[obj_id].record)
                 parts.append(_pack_links(-1 if up is None else up,
-                                         -1 if down is None else down,
-                                         -1 if side is None else side))
+                                         down[0] if down else -1,
+                                         row[at] if at < len(row) else -1))
             self._body = b"".join(parts)
         return self._body
 
     # -- integrity ---------------------------------------------------------
 
     def validate(self) -> None:
-        """Check forest integrity; raises TreeError on the first violation."""
+        """Check that `kids` indexes `parent` and every node hangs off the
+        root; raises TreeError on the first violation."""
         if ROOT_ID not in self.nodes:
             raise TreeError("missing universe root")
         if self.parent[ROOT_ID] is not None:
             raise TreeError("root must not have a parent")
+        # a child is pushed once, from its own parent, so nothing loops
         seen: set[int] = set()
         stack = [ROOT_ID]
         while stack:
             cur = stack.pop()
-            if cur in seen:
-                raise TreeError(f"node {cur} reachable twice")
             seen.add(cur)
-            # walk the chain lazily: the id-order check also stops a cycle
-            prev = None
-            child = self.first_child[cur]
-            while child is not None:
+            prev = -1
+            for child in self.kids[cur]:
                 if self.parent[child] != cur:
                     raise TreeError(
                         f"chain of {cur} lists {child} whose parent differs")
-                if prev is not None and child <= prev:
+                if child <= prev:
                     raise TreeError(f"chain of {cur} is not id-ordered")
                 prev = child
                 stack.append(child)
-                child = self.sibling[child]
         missing = set(self.nodes) - seen
         if missing:
             raise TreeError(f"unreachable nodes: {sorted(missing)}")
 
     def copy(self) -> "WorldObjectTree":
-        """Independent links over the same (immutable) nodes."""
+        """Independent maps over the same (immutable) nodes and tuples."""
         dup = WorldObjectTree()
         dup.nodes = dict(self.nodes)
         dup.parent = dict(self.parent)
-        dup.first_child = dict(self.first_child)
-        dup.sibling = dict(self.sibling)
+        dup.kids = dict(self.kids)
         dup.player = self.player
         return dup
 
@@ -474,9 +435,14 @@ def _decode(data: bytes) -> WorldState:
     if not ends <= tree.nodes.keys():
         raise SnapshotError(
             f"links name unknown ids {sorted(ends - tree.nodes.keys())}")
-    for obj_id, trio in links.items():
-        tree.parent[obj_id], tree.first_child[obj_id], tree.sibling[obj_id] = (
-            None if end < 0 else end for end in trio)
+    for obj_id, (up, down, _) in links.items():
+        tree.parent[obj_id] = None if up < 0 else up
+        # a chain longer than the forest has looped; validate() rejects it
+        chain = []
+        while down >= 0 and len(chain) <= n_nodes:
+            chain.append(down)
+            down = links[down][2]
+        tree.kids[obj_id] = tuple(chain)
     tree.player = _first_player(tree.nodes)
     (n_globals,) = r.take("<I")
     globals_map: dict[str, int] = {}
@@ -490,7 +456,9 @@ def _decode(data: bytes) -> WorldState:
     (rng_state,) = r.take("<Q")
     if r.pos != len(data):
         raise SnapshotError("trailing bytes after snapshot")
-    tree.validate()
+    tree.validate()  # so the stored chains are those the parent ids derive
+    if links[ROOT_ID][2] >= 0:  # the one link that no chain reads
+        raise SnapshotError("root must not have a sibling")
     return WorldState(tree=tree, globals=globals_map, score=score,
                       moves=moves, done=bool(done), rng=SplitMix64(rng_state))
 

@@ -328,8 +328,12 @@ def reference_encode(state, include_counters=True, include_rng=True):
             raw = node.read_text.encode("utf-8")
             parts.append(struct.pack("<BI", 1, len(raw)))
             parts.append(raw)
-        links = (tree.parent[obj_id], tree.first_child[obj_id],
-                 tree.sibling[obj_id])
+        up = tree.parent[obj_id]
+        kids = sorted(i for i, p in tree.parent.items() if p == obj_id)
+        siblings = sorted(i for i, p in tree.parent.items()
+                          if p == up and up is not None and i > obj_id)
+        links = (up, kids[0] if kids else None,
+                 siblings[0] if siblings else None)
         parts.append(struct.pack(
             "<iii", *(-1 if link is None else link for link in links)))
     live_globals = {k: v for k, v in state.globals.items() if v != 0}

@@ -212,6 +212,17 @@ def test_train_rejects_out_of_range_override(tinybox_path, override, capsys):
     assert f"error: {name} must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", ["max_env_steps=1e3", "lr=abc",
+                                      "early_stop_score=x"])
+def test_train_names_the_field_of_an_unreadable_override(tinybox_path,
+                                                         override, capsys):
+    assert main(["train", tinybox_path, "--agent", "drrn", "--seed", "1",
+                 "--set", override]) == INPUT_ERROR
+    name, _, raw = override.partition("=")
+    err = capsys.readouterr().err
+    assert f"error: {name}: " in err and repr(raw) in err
+
+
 @pytest.mark.parametrize("agent, override", [
     ("drrn", "tau=0"), ("drrn", "lr=nan"), ("drrn", "gamma=2"),
     ("tdqn", "lambda_mix=inf"), ("drrn", "max_seconds=-1")])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from textquest import env as env_module
 from textquest.engine import init_state
 from textquest.env import (CapabilityError, Environment, EpisodeDoneError,
                            Handicaps, NO_HANDICAPS,
@@ -259,6 +260,19 @@ def test_valid_actions_cached_by_situation(tinybox):
     env.step("open box")
     env.identify_valid_actions()
     assert len(cache) == 2
+
+
+def test_a_default_valid_cache_evicts_at_its_capacity(tinybox, monkeypatch):
+    monkeypatch.setattr(env_module, "VALID_CACHE_CAPACITY", 2)
+    env = Environment(tinybox)
+    env.reset(seed=0)
+    first = env.identify_valid_actions()
+    env.identify_valid_actions(dedup=True)
+    assert env.identify_valid_actions() is first  # two entries fit
+    env.identify_valid_actions(dedup=True)
+    env.identify_valid_actions(["box"])  # a third evicts the oldest
+    again = env.identify_valid_actions()
+    assert again is not first and again == first
 
 
 def test_valid_actions_empty_when_done(env):

@@ -129,6 +129,27 @@ def test_parse_rejects_mistyped_fields(tinybox_data, where, value, message):
         parse_game(data)
 
 
+@pytest.mark.parametrize("where, value, message", [
+    (("objects",), {}, "<data>.objects: expected a list, got dict"),
+    (("dark_rooms",), ["x"],
+     "<data>.dark_rooms[0]: expected an integer, got str"),
+    (("objects", 2), [], "<data>.objects[2]: expected an object, got list"),
+    (("exits", "1"), [], "<data>.exits[1]: expected an object, got list"),
+    (("objects", 2, "parent"), "x",
+     "<data>.objects[2].parent: expected an integer, got str"),
+])
+def test_error_paths_join_every_step_with_a_dot(tinybox_data, where, value,
+                                                message):
+    data = copy.deepcopy(tinybox_data)
+    node = data
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    with pytest.raises(GameFileError) as err:
+        parse_game(data)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("where, message", [
     ((), r"<data>: unknown game field\(s\) \['bogus'\]"),
     (("objects", 2), r"objects\[2\]: unknown object field"),

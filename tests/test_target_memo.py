@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import reference_drrn_q_values, reference_tdqn_forward
+from textquest import env as env_module
 from textquest.agents import models, training
 from textquest.agents.models import (CHANNELS, ModelConfig, drrn_init,
                                      encode_memo)
@@ -164,20 +165,22 @@ def test_lru_cache_evicts_the_least_recently_used():
 
 @pytest.mark.parametrize("agent", ["drrn", "tdqn"])
 def test_a_one_entry_valid_cache_trains_the_same(tinybox, monkeypatch, agent):
-    caches: list = []
+    envs: list = []
     real_env = training.Environment
 
     def spy_env(*args, **kwargs):
-        caches.append(kwargs["valid_action_cache"])
-        return real_env(*args, **kwargs)
+        envs.append(real_env(*args, **kwargs))
+        return envs[-1]
 
     monkeypatch.setattr(training, "Environment", spy_env)
-    runs, default = {}, training.VALID_CACHE_CAPACITY
+    runs, default = {}, env_module.VALID_CACHE_CAPACITY
     for capacity in (1, default):
-        caches.clear()
-        monkeypatch.setattr(training, "VALID_CACHE_CAPACITY", capacity)
+        envs.clear()
+        for module in (env_module, training):
+            monkeypatch.setattr(module, "VALID_CACHE_CAPACITY", capacity)
         runs[capacity] = outputs(tinybox, train(tinybox, tiny_cfg(agent=agent),
                                                 seed=8))
+        caches = [e._cache for e in envs]
         assert all(isinstance(c, _LruCache) and c.capacity == capacity
                    for c in caches)
         sizes = {len(c) for c in caches}

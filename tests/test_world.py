@@ -96,32 +96,9 @@ def test_validate_catches_parent_chain_mismatch(state):
 
 def test_validate_catches_unreachable_nodes(state):
     tree = state.tree.copy()
-    tree.first_child[11] = None  # orphans the egg
+    tree.kids[11] = ()  # orphans the egg
     with pytest.raises(TreeError):
         tree.validate()
-
-
-class _BoundedLinks(dict):
-    """A link map that fails the test rather than feed an endless walk."""
-
-    def __init__(self, links, limit=1000):
-        super().__init__(links)
-        self.reads, self.limit = 0, limit
-
-    def __getitem__(self, key):
-        self.reads += 1
-        if self.reads > self.limit:
-            pytest.fail("the walk did not stop")
-        return super().__getitem__(key)
-
-
-def test_looping_sibling_chain_raises_tree_error(state):
-    tree = state.tree.copy()
-    tree.sibling = _BoundedLinks(tree.sibling)
-    tree.first_child = _BoundedLinks(tree.first_child)
-    tree.sibling[13] = 10  # the room's chain 10, 11, 13 runs back to 10
-    with pytest.raises(TreeError):
-        tree.children(1)
 
 
 def test_universe_root_is_reserved(state):
@@ -221,27 +198,39 @@ def _nameless(state, data):
     return data.replace(PEBBLE_RECORD, struct.pack("<IBB", 13, 1, 0))
 
 
+def _set_link(state, data, obj, link, value):
+    """`data` with link `link` (0 parent, 1 first child, 2 sibling) of node
+    `obj` set to `value`: the records start at byte 10 and each is followed
+    by its three i32 links."""
+    pos = 10
+    for obj_id, n in sorted(state.tree.nodes.items()):
+        pos += len(n.record)
+        if obj_id == obj:
+            break
+        pos += 12
+    pos += 4 * link
+    return data[:pos] + struct.pack("<i", value) + data[pos + 4:]
+
+
 def _dangling_link(state, data):
-    bad = state.copy()  # a copy starts with no cached encoding
-    bad.tree.sibling[13] = 99
-    return bad.encode()
+    return _set_link(state, data, 13, 2, 99)
 
 
 def _sibling_cycle(state, data):
-    bad = state.copy()
-    bad.tree.sibling[13] = 10
-    return bad.encode()
+    return _set_link(state, data, 13, 2, 10)
 
 
 def _orphan(state, data):
-    bad = state.copy()
-    bad.tree.first_child[11] = None  # the egg still names 11 as parent
-    return bad.encode()
+    return _set_link(state, data, 11, 1, -1)  # the egg still names 11
+
+
+def _root_sibling(state, data):
+    return _set_link(state, data, 0, 2, 1)
 
 
 @pytest.mark.parametrize("corrupt", [_duplicate_id, _bad_utf8, _nameless,
                                      _unknown_attribute_bit, _dangling_link,
-                                     _sibling_cycle, _orphan])
+                                     _sibling_cycle, _orphan, _root_sibling])
 def test_decode_rejects_corruption_with_snapshot_error(state, corrupt):
     data = state.snapshot().data
     bad = corrupt(state, data)

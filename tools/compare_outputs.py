@@ -36,14 +36,19 @@ and prints a JSON digest of their outputs:
   at a time (each value set to each of GAMEJSON_VALUES, deleted, and each
   key of a JSON object renamed), run through parse_game; each case's
   outcome is the exception type and message, or a hash of serialize_game's
-  output.
+  output;
+* `snaplinks`: every bundled game's snapshot at the start (seed 1) and at
+  the end of its walkthrough, as saved and with each link (parent, first
+  child, sibling) of each node set to -1, to each object id and to an
+  unknown id, run through Snapshot.restore; each case's outcome is the
+  exception type and message, or a hash of the restored state's encoding.
 
 Learner, benchmark and simulator outputs must match byte for byte. A
 random curve may differ only by the new checkout dropping a final episode
 that the old one recorded when the step budget ran out, i.e. one that had
-not ended. Exits 0 when every job agrees, 1 otherwise; a `gamejson` job that
-differs lists each differing case with both outcomes. Takes about three
-minutes per checkout.
+not ended. Exits 0 when every job agrees, 1 otherwise; a `gamejson` or
+`snaplinks` job that differs lists each differing case with both
+outcomes. Takes about three minutes per checkout.
 """
 
 import copy
@@ -51,6 +56,7 @@ import hashlib
 import json
 import os
 import random
+import struct
 import subprocess
 import sys
 from importlib import resources
@@ -224,6 +230,43 @@ def gamejson(text: str) -> dict[str, str]:
     return cases
 
 
+def snaplinks(game) -> dict[str, str]:
+    """Outcome of Snapshot.restore on `game`'s start and walkthrough-end
+    snapshots and on each of their single-link mutations, by case name."""
+    from textquest.env import Environment
+    from textquest.world import Snapshot
+
+    def outcome(data: bytes) -> str:
+        try:
+            state = Snapshot(data).restore()
+        except Exception as err:  # an undocumented type is an outcome too
+            return f"{type(err).__name__}: {err}"
+        return "restored " + hashlib.sha256(state.encode()).hexdigest()[:16]
+
+    env = Environment(game)
+    env.reset(seed=1)
+    snapshots = {"start": env.save()}
+    for command in game.walkthrough:
+        env.step(command)
+    snapshots["end"] = env.save()
+    cases = {}
+    for label, snapshot in snapshots.items():
+        data = snapshot.data
+        cases[f"{label} as saved"] = outcome(data)
+        nodes = snapshot.restore().tree.nodes
+        ids = sorted(nodes)
+        pos = 10  # magic, version, flags, node count
+        for obj in ids:
+            pos += len(nodes[obj].record)  # the links follow each record
+            for link, name in enumerate(("parent", "first child", "sibling")):
+                at = pos + 4 * link
+                for value in (-1, *ids, ids[-1] + 1):
+                    cases[f"{label} {obj} {name} = {value}"] = outcome(
+                        data[:at] + struct.pack("<i", value) + data[at + 4:])
+            pos += 12
+    return cases
+
+
 def dump(root: str) -> dict:
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "tests")]
     from conftest import tinybox_dict
@@ -286,6 +329,7 @@ def dump(root: str) -> dict:
         out[f"gamejson-{name}"] = gamejson(
             (resources.files("textquest") / "games" / f"{name}.game.json")
             .read_text(encoding="utf-8"))
+        out[f"snaplinks-{name}"] = snaplinks(game)
     for name, steps in RANDOM_BUDGETS:
         for seed in (1, 2):
             cfg = TrainConfig(agent="random", max_env_steps=steps)
@@ -324,7 +368,7 @@ def main(argv: list[str]) -> int:
             same, note = old[key] == new[key], ""
         failed += not same
         print(f"{'agrees' if same else 'DIFFERS'} {key}{note}")
-        if key.startswith("gamejson-") and not same:
+        if key.startswith(("gamejson-", "snaplinks-")) and not same:
             for case in sorted(old[key].keys() | new[key].keys()):
                 if old[key].get(case) != new[key].get(case):
                     print(f"  {case}\n    old: {old[key].get(case)}\n"
