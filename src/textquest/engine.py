@@ -10,7 +10,9 @@ values) and each command's result, so a valid-action sweep computes them
 once and a step after the sweep reuses its probe. All gameplay rules
 funnel through the ten effect kinds in grammar.EFFECT_KINDS plus a small set
 of engine guards (you cannot open what is locked, carry past the inventory
-limit, or put a box inside itself) so authored games stay declarative.
+limit, or put a box inside itself) so authored games stay declarative. An
+effect returns its failure text and no state rather than raising; every
+rejected command gets the input state, no reward and one shared empty Diff.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from functools import cached_property, lru_cache
 from .gamedefs import Condition, GameDef, ScoreRule, Trigger
 from .grammar import (GrammarRule, ParseKind, ParseOutcome, Precondition,
                       tokenize, SLOT)
+from .records import fast_init
 from .rng import SplitMix64
 from .world import Diff, ObjectNode, WorldState, WorldObjectTree, state_diff
 
@@ -30,6 +33,10 @@ MSG_CANT = "You can't do that."
 MSG_DARKNESS = "It is pitch black here. You can't see a thing."
 
 WORDS_CACHE_CAPACITY = 4096  # distinct command texts whose tokens are kept
+
+_NO_DIFF = Diff()  # shared by every rejected command, as are the outcomes
+_UNRESOLVED = ParseOutcome(ParseKind.UNRESOLVED)  # of those with no rule
+_UNPARSEABLE = ParseOutcome(ParseKind.UNPARSEABLE)
 
 # Every fixed phrase the engine can print, so text tokenizers built from a
 # game definition cover engine output as well as authored text.
@@ -85,6 +92,7 @@ class EngineError(Exception):
     """Internal consistency failure; authored games should never hit this."""
 
 
+@fast_init
 @dataclass(frozen=True)
 class CommandResult:
     """Outcome of executing one text command against a state."""
@@ -248,7 +256,7 @@ def _parse(ctx: Situation, text: str
     preconditions hold."""
     words = _words(text)
     if not words:
-        return ParseOutcome(ParseKind.UNPARSEABLE), None, False
+        return _UNPARSEABLE, None, False
     saw_pattern = False
     first_resolved = None
     for rule in ctx.game.rules_led_by(len(words), words[0]):
@@ -269,17 +277,16 @@ def _parse(ctx: Situation, text: str
         saw_pattern = True
         if not resolved:
             continue
-        outcome = ParseOutcome(ParseKind.RESOLVED, rule_id=rule.id,
-                               objects=tuple(bound))
-        if check_preconditions(ctx.state, ctx.game, rule, outcome.objects,
-                               ctx):
+        objects = tuple(bound)
+        if check_preconditions(ctx.state, ctx.game, rule, objects, ctx):
+            outcome = ParseOutcome(ParseKind.RESOLVED, rule.id, objects)
             return outcome, rule, True
         if first_resolved is None:
-            first_resolved = outcome, rule, False
-    if first_resolved is not None:
-        return first_resolved
-    kind = ParseKind.UNRESOLVED if saw_pattern else ParseKind.UNPARSEABLE
-    return ParseOutcome(kind), None, False
+            first_resolved = rule, objects
+    if first_resolved is None:
+        return (_UNRESOLVED if saw_pattern else _UNPARSEABLE), None, False
+    rule, objects = first_resolved
+    return ParseOutcome(ParseKind.RESOLVED, rule.id, objects), rule, False
 
 
 def _target(pre_slot: int | None, pre_obj: int | None,
@@ -412,15 +419,9 @@ def _fmt(template: str, tree: WorldObjectTree,
 # -- effects -------------------------------------------------------------------
 
 
-class _Failure(Exception):
-    def __init__(self, message: str) -> None:
-        super().__init__(message)
-        self.message = message
-
-
 def _apply_effect(state: WorldState, game: GameDef, rule: GrammarRule,
-                  objects: tuple[int, ...]) -> tuple[str, WorldState]:
-    """Returns the success text and the new state, or raises _Failure.
+                  objects: tuple[int, ...]) -> tuple[str, WorldState | None]:
+    """Returns the text to show and the new state, or failure text and None.
 
     `state` is only read: it is copied at the first tree edit, and an
     effect that edits no tree returns `state.fork()`, which shares it.
@@ -431,7 +432,6 @@ def _apply_effect(state: WorldState, game: GameDef, rule: GrammarRule,
     # the object the effect acts on, where it names one
     target = _target(eff.slot, eff.obj, objects, 1)
     node = tree.nodes.get(target)
-    fail_text = rule.failure_text
     after: WorldState | None = None
 
     def edit() -> WorldState:
@@ -440,8 +440,8 @@ def _apply_effect(state: WorldState, game: GameDef, rule: GrammarRule,
             after = state.copy()
         return after
 
-    def fail(default: str) -> _Failure:
-        return _Failure(fail_text or default)
+    def fail(default: str) -> tuple[str, None]:
+        return rule.failure_text or default, None
 
     def success(default: str) -> tuple[str, WorldState]:
         text = default if rule.text is None else _fmt(rule.text, tree, objects)
@@ -451,11 +451,11 @@ def _apply_effect(state: WorldState, game: GameDef, rule: GrammarRule,
         room = player_room(state)
         passage = game.exits.get(room, {}).get(eff.direction or "")
         if passage is None:
-            raise fail("You can't go that way.")
+            return fail("You can't go that way.")
         if passage.requires_open is not None:
             door = tree.nodes[passage.requires_open]
             if not door.has("open"):
-                raise fail(f"The {door.name} is closed.")
+                return fail(f"The {door.name} is closed.")
         edit().tree.reparent(player, passage.to)
         return success(render_room(edit(), game, passage.to))
 
@@ -476,33 +476,33 @@ def _apply_effect(state: WorldState, game: GameDef, rule: GrammarRule,
                 carried += 1
                 lines.append(f"{node.name}: Taken.")
             if not lines:
-                raise fail("There is nothing here to take.")
+                return fail("There is nothing here to take.")
             return success(" ".join(lines))
         if tree.parent[target] == player:
-            raise fail("You already have that.")
+            return fail("You already have that.")
         if not node.has("takeable"):
-            raise fail("You can't take that.")
+            return fail("You can't take that.")
         if limit is not None and carried >= limit:
-            raise fail("You're carrying too much already.")
+            return fail("You're carrying too much already.")
         edit().tree.reparent(target, player)
         return success("Taken.")
 
     if eff.kind == "reparent-to-floor":
         if tree.parent[target] != player:
-            raise fail("You aren't carrying that.")
+            return fail("You aren't carrying that.")
         edit().tree.reparent(target, player_room(state))
         return success("Dropped.")
 
     if eff.kind == "set-attribute":
         attr = eff.attr or ""
         if node.has(attr):
-            raise fail(f"The {node.name} is already {attr}." if attr in
-                       ("open", "lit") else "Nothing happens.")
+            return fail(f"The {node.name} is already {attr}." if attr in
+                        ("open", "lit") else "Nothing happens.")
         if attr == "open":
             if not node.has("openable"):
-                raise fail("You can't open that.")
+                return fail("You can't open that.")
             if node.has("locked"):
-                raise fail(f"The {node.name} is locked.")
+                return fail(f"The {node.name} is locked.")
             edit().tree.set_attr(target, attr)
             inside = tree.children(target)
             if inside:
@@ -510,7 +510,7 @@ def _apply_effect(state: WorldState, game: GameDef, rule: GrammarRule,
                                f"{_listing(tree, inside)}.")
             return success(f"You open the {node.name}.")
         if attr == "lit" and not node.has("lightsource"):
-            raise fail("You can't light that.")
+            return fail("You can't light that.")
         edit().tree.set_attr(target, attr)
         return success(f"You turn on the {node.name}." if attr == "lit"
                        else "Done.")
@@ -518,7 +518,7 @@ def _apply_effect(state: WorldState, game: GameDef, rule: GrammarRule,
     if eff.kind == "clear-attribute":
         attr = eff.attr or ""
         if not node.has(attr):
-            raise fail("Nothing happens.")
+            return fail("Nothing happens.")
         edit().tree.set_attr(target, attr, on=False)
         verb = {"open": "You close", "lit": "You turn off"}.get(attr)
         return success(f"{verb} the {node.name}." if verb else "Done.")
@@ -526,10 +526,10 @@ def _apply_effect(state: WorldState, game: GameDef, rule: GrammarRule,
     if eff.kind == "unlock-with":
         key = _target(eff.slot2, None, objects, 2)
         if not node.has("locked"):
-            raise fail(f"The {node.name} isn't locked.")
+            return fail(f"The {node.name} isn't locked.")
         if key is None or node.key_id != key:
-            raise fail(f"The {tree.nodes[key].name} doesn't fit."
-                       if key is not None else "Nothing to unlock with.")
+            return fail(f"The {tree.nodes[key].name} doesn't fit."
+                        if key is not None else "Nothing to unlock with.")
         edit().tree.set_attr(target, "locked", on=False)
         return success(f"You unlock the {node.name} with "
                        f"the {tree.nodes[key].name}.")
@@ -537,25 +537,25 @@ def _apply_effect(state: WorldState, game: GameDef, rule: GrammarRule,
     if eff.kind == "put-in":
         box = _target(eff.slot2, None, objects, 2)
         if box is None:
-            raise fail("Put it in what?")
+            return fail("Put it in what?")
         bnode = tree.nodes[box]
         if tree.parent[target] != player:
-            raise fail("You aren't carrying that.")
+            return fail("You aren't carrying that.")
         if not bnode.has("container"):
-            raise fail(f"You can't put things in the {bnode.name}.")
+            return fail(f"You can't put things in the {bnode.name}.")
         if bnode.has("openable") and not bnode.has("open"):
-            raise fail(f"The {bnode.name} is closed.")
+            return fail(f"The {bnode.name} is closed.")
         if bnode.capacity is not None and \
                 len(tree.children(box)) >= bnode.capacity:
-            raise fail(f"There's no more room in the {bnode.name}.")
+            return fail(f"There's no more room in the {bnode.name}.")
         if tree.in_subtree(box, target):
-            raise fail("You can't put something inside itself.")
+            return fail("You can't put something inside itself.")
         edit().tree.reparent(target, box)
         return success(f"You put the {node.name} in the {bnode.name}.")
 
     if eff.kind == "toggle-light":
         if not node.has("lightsource"):
-            raise fail("You can't light that.")
+            return fail("You can't light that.")
         lit = node.has("lit")
         edit().tree.set_attr(target, "lit", on=not lit)
         return success(f"You turn {'off' if lit else 'on'} the {node.name}.")
@@ -572,7 +572,7 @@ def _apply_effect(state: WorldState, game: GameDef, rule: GrammarRule,
                            f"You see nothing special about the {node.name}.")
         if eff.source == "object_read_text":
             if node.read_text is None:
-                raise fail(f"Nothing is written on the {node.name}.")
+                return fail(f"Nothing is written on the {node.name}.")
             return success(node.read_text)
         raise EngineError(f"unknown emit source '{eff.source}'")
 
@@ -690,18 +690,16 @@ def execute(state: WorldState, game: GameDef, text: str,
 def _execute(ctx: Situation, text: str) -> CommandResult:
     state, game = ctx.state, ctx.game
     outcome, rule, ok = _parse(ctx, text)
+    after = None
     if rule is None:
-        message = MSG_UNRESOLVED if outcome.kind is ParseKind.UNRESOLVED \
+        text_out = MSG_UNRESOLVED if outcome is _UNRESOLVED \
             else MSG_UNPARSEABLE
-        return CommandResult(state, message, outcome, False, 0, Diff())
-    if not ok:
-        return CommandResult(state, rule.failure_text or MSG_CANT, outcome,
-                             False, 0, Diff())
-    try:
+    elif not ok:
+        text_out = rule.failure_text or MSG_CANT
+    else:
         text_out, after = _apply_effect(state, game, rule, outcome.objects)
-    except _Failure as failure:
-        return CommandResult(state, failure.message, outcome, False, 0,
-                             Diff())
+    if after is None:
+        return CommandResult(state, text_out, outcome, False, 0, _NO_DIFF)
     after.moves += 1
     notices = _award_score(ctx, after, game, rule.id)
     if notices:

@@ -17,6 +17,7 @@ from . import engine
 from .gamedefs import GameDef, _LruCache
 from .grammar import (ActionCandidate, ParseKind, Template, Vocabulary,
                       enumerate_candidates)
+from .records import fast_init
 from .world import (ObjectNode, Snapshot, SnapshotError, WorldState,
                     state_diff, universe_node)
 
@@ -63,6 +64,7 @@ class Handicaps:
 NO_HANDICAPS = Handicaps(False, False, False, False, False)
 
 
+@fast_init
 @dataclass(frozen=True)
 class AugmentedObservation:
     """The four text channels an agent encodes."""
@@ -77,6 +79,7 @@ class AugmentedObservation:
                 self.prev_action)
 
 
+@fast_init
 @dataclass(frozen=True)
 class StepResult:
     observation: str
@@ -88,6 +91,7 @@ class StepResult:
     world_changed: bool
 
 
+@fast_init
 @dataclass(frozen=True)
 class ValidActionSet:
     """Actions that changed the object tree when probed, with their diff
@@ -196,18 +200,12 @@ class Environment:
         if state.done:
             raise EpisodeDoneError("the episode has ended; call reset()")
         result = engine.execute(state, self.game, text, self._ctx())
-        self._state = result.state
+        self._state = after = result.state
         self._narrative = result.observation
         self._prev_action = text
-        return StepResult(
-            observation=result.observation,
-            reward=result.reward,
-            score=result.state.score,
-            done=result.state.done,
-            moves=result.state.moves,
-            parse_outcome=result.outcome.kind,
-            world_changed=bool(result.diff.tree),
-        )
+        return StepResult(result.observation, result.reward, after.score,
+                          after.done, after.moves, result.outcome.kind,
+                          bool(result.diff.tree))
 
     # -- state access -------------------------------------------------------------
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
+from .records import fast_init
+
 SLOT = "OBJ"
 BLANK = "_"
 
@@ -159,6 +161,7 @@ class ParseKind(enum.Enum):
     UNPARSEABLE = "unparseable"
 
 
+@fast_init
 @dataclass(frozen=True)
 class ParseOutcome:
     """Result of parsing one command against a state.

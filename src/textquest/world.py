@@ -31,6 +31,7 @@ from functools import cached_property
 from hashlib import blake2b
 from typing import Iterator, NamedTuple
 
+from .records import fast_init
 from .rng import SplitMix64
 
 ROOT_ID = 0
@@ -66,6 +67,7 @@ class SnapshotError(Exception):
     """Raised when snapshot bytes cannot be decoded."""
 
 
+@fast_init
 @dataclass(frozen=True)
 class ObjectNode:
     """One object. `names[0]` is the canonical name used in rendered text.
@@ -354,6 +356,7 @@ def _hash_bytes(data: bytes) -> int:
     return int.from_bytes(blake2b(data, digest_size=8).digest(), "little")
 
 
+@fast_init
 @dataclass(frozen=True)
 class Snapshot:
     """Immutable full capture of a WorldState, including its rng stream."""
@@ -423,6 +426,8 @@ def _decode(data: bytes) -> WorldState:
             raise SnapshotError(f"unknown attribute bits in {mask:#x}")
         if obj_id in tree.nodes:
             raise SnapshotError(f"duplicate object id {obj_id}")
+        if min(key_id, capacity) < -1:
+            raise SnapshotError(f"object {obj_id} has a key or capacity < -1")
         attrs = frozenset(a for a in ATTRIBUTES if mask & _ATTR_BIT[a])
         tree.nodes[obj_id] = ObjectNode(
             id=obj_id, names=tuple(names), kind=KINDS[kind_code],
@@ -431,7 +436,7 @@ def _decode(data: bytes) -> WorldState:
             capacity=None if capacity < 0 else capacity,
             text=text, read_text=read_text)
         links[obj_id] = r.take("<iii")
-    ends = {end for trio in links.values() for end in trio if end >= 0}
+    ends = {end for trio in links.values() for end in trio} - {-1}
     if not ends <= tree.nodes.keys():
         raise SnapshotError(
             f"links name unknown ids {sorted(ends - tree.nodes.keys())}")
@@ -452,6 +457,8 @@ def _decode(data: bytes) -> WorldState:
         (value,) = r.take("<q")
         globals_map[key] = value
     (done,) = r.take("<B")
+    if done > 1:
+        raise SnapshotError(f"done byte {done} is neither 0 nor 1")
     score, moves = r.take("<qI")
     (rng_state,) = r.take("<Q")
     if r.pos != len(data):
@@ -485,6 +492,7 @@ class StatusChange(NamedTuple):
     new: object
 
 
+@fast_init
 @dataclass(frozen=True)
 class Diff:
     """Canonical three-channel difference between two states."""
@@ -534,9 +542,9 @@ def state_diff(a: WorldState, b: WorldState) -> Diff:
             va, vb = a.globals.get(name, 0), b.globals.get(name, 0)
             if va != vb:
                 global_changes.append(GlobalChange(name, va, vb))
-    status_changes = [StatusChange(fname, getattr(a, fname), getattr(b, fname))
-                      for fname in ("done", "moves", "score")
-                      if getattr(a, fname) != getattr(b, fname)]
+    status_changes = [StatusChange(name, old, new) for name, old, new in (
+        ("done", a.done, b.done), ("moves", a.moves, b.moves),
+        ("score", a.score, b.score)) if old != new]
     tree_changes.sort()  # (obj, field) pairs are unique
     return Diff(tree=tuple(tree_changes), globals=tuple(global_changes),
                 status=tuple(status_changes))

@@ -5,8 +5,8 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from textquest.engine import init_state
-from textquest.gamedefs import load_bundled
+from textquest.engine import execute, init_state
+from textquest.gamedefs import bundled_game_names, load_bundled
 from textquest.rng import SplitMix64
 from textquest.world import (ATTRIBUTES, ObjectNode, Snapshot, SnapshotError,
                              TreeError, WorldObjectTree, WorldState,
@@ -240,6 +240,66 @@ def test_decode_rejects_corruption_with_snapshot_error(state, corrupt):
 
 
 MAILHOUSE_SNAPSHOT = init_state(load_bundled("mailhouse"), 0).snapshot().data
+
+
+MAILHOUSE_START = init_state(load_bundled("mailhouse"), 0)
+
+
+def _set_key_or_capacity(data, obj, field, value):
+    """MAILHOUSE_SNAPSHOT with node `obj`'s key id (field 0) or capacity
+    (field 1) set to `value`; both follow the record's names and mask."""
+    nodes = MAILHOUSE_START.tree.nodes
+    pos = 10 + sum(len(nodes[i].record) + 12 for i in sorted(nodes) if i < obj)
+    pos += 6 + sum(2 + len(n.encode()) for n in nodes[obj].names) + 2
+    pos += 4 * field
+    return data[:pos] + struct.pack("<i", value) + data[pos + 4:]
+
+
+def _set_done(data, value):
+    # the done byte precedes score (q), moves (I) and the rng state (Q)
+    return data[:-21] + bytes([value]) + data[-20:]
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda d: _set_link(MAILHOUSE_START, d, 0, 0, -2),  # the root's parent
+    lambda d: _set_link(MAILHOUSE_START, d, 0, 2, -2),
+    lambda d: _set_link(MAILHOUSE_START, d, 1, 1, -2),
+    lambda d: _set_link(MAILHOUSE_START, d, 1, 2, -7),
+    lambda d: _set_link(MAILHOUSE_START, d, 1, 0, -2 ** 31),
+    lambda d: _set_key_or_capacity(d, 1, 0, -2),
+    lambda d: _set_key_or_capacity(d, 1, 1, -2),
+    lambda d: _set_key_or_capacity(d, 0, 1, -2 ** 31),
+    lambda d: _set_done(d, 2),
+    lambda d: _set_done(d, 255),
+], ids=["root-parent", "root-sibling", "first-child", "sibling", "parent",
+        "key", "capacity", "root-capacity", "done-2", "done-255"])
+def test_decode_rejects_non_canonical_values(corrupt):
+    """Every negative id or count other than -1, and every done byte other
+    than 0 or 1, would restore to a state whose encoding differs."""
+    bad = corrupt(MAILHOUSE_SNAPSHOT)
+    assert bad != MAILHOUSE_SNAPSHOT and len(bad) == len(MAILHOUSE_SNAPSHOT)
+    with pytest.raises(SnapshotError):
+        Snapshot(bad).restore()
+
+
+def test_non_canonical_cases_edit_the_fields_they_name():
+    data = _set_done(_set_key_or_capacity(
+        _set_key_or_capacity(MAILHOUSE_SNAPSHOT, 1, 0, 7), 1, 1, 5), 1)
+    restored = Snapshot(data).restore()
+    assert (restored.tree.nodes[1].key_id, restored.tree.nodes[1].capacity,
+            restored.done) == (7, 5, True)
+
+
+@pytest.mark.parametrize("name", bundled_game_names())
+def test_walkthrough_snapshots_restore_to_their_bytes(name):
+    game = load_bundled(name)
+    state = init_state(game, 3)
+    for command in ("", *game.walkthrough):
+        if command:
+            state = execute(state, game, command).state
+        data = state.snapshot().data
+        assert Snapshot(data).restore().snapshot().data == data
+    assert state.done
 
 
 @settings(max_examples=300, deadline=None)

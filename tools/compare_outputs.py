@@ -41,7 +41,13 @@ and prints a JSON digest of their outputs:
   the end of its walkthrough, as saved and with each link (parent, first
   child, sibling) of each node set to -1, to each object id and to an
   unknown id, run through Snapshot.restore; each case's outcome is the
-  exception type and message, or a hash of the restored state's encoding.
+  exception type and message, or a hash of the restored state's encoding;
+* `rollout`: every bundled game at seeds 1, 2 and 3 played for 300 seeded
+  canonical commands with no handicaps (the random agent's commands, more
+  than half of which the parser, a precondition or an effect rejects), each
+  run through engine.execute with no Situation and then through env.step;
+  digesting every StepResult repr and every CommandResult field: text,
+  outcome, applied, reward, diff, diff hash and the state's encoding.
 
 Learner, benchmark and simulator outputs must match byte for byte. A
 random curve may differ only by the new checkout dropping a final episode
@@ -64,6 +70,7 @@ from importlib import resources
 RANDOM_BUDGETS = (("tiny", 400), ("tiny", 1200), ("mail", 3000))
 SIM_SEEDS = (1, 2, 3)
 SIM_TURNS = 60
+ROLLOUT_STEPS = 300
 ODD_FILLERS = ((), ("xyzzy",), ("LAMP", "Key", "box"), ("brass key", "lamp"),
                ("", "take", "north"))
 GAMEJSON_VALUES = (None, 1, -1, 0, 2 ** 40, True, 1.5, "x", "", [], [1],
@@ -181,6 +188,28 @@ def memo(game, seed: int) -> str:
     if not env.done:
         raise RuntimeError(f"{game.title}: the walkthrough did not end it")
     query()
+    return digest.hexdigest()
+
+
+def rollout(game, seed: int) -> str:
+    """Digest of ROLLOUT_STEPS seeded canonical commands on `game`."""
+    from textquest.agents.training import CANONICAL_ACTIONS, RANDOM_HANDICAPS
+    from textquest.engine import execute
+    from textquest.env import Environment
+
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+    env = Environment(game, RANDOM_HANDICAPS)
+    env.reset(seed=seed)
+    for _ in range(ROLLOUT_STEPS):
+        command = rng.choice(CANONICAL_ACTIONS)
+        r = execute(env.state, game, command)
+        digest.update(repr((command, r.observation, r.outcome, r.applied,
+                            r.reward, r.diff, r.diff.diff_hash())).encode())
+        digest.update(r.state.encode())
+        digest.update(repr(env.step(command)).encode())
+        if env.done:
+            env.reset(seed=seed)
     return digest.hexdigest()
 
 
@@ -330,6 +359,8 @@ def dump(root: str) -> dict:
             (resources.files("textquest") / "games" / f"{name}.game.json")
             .read_text(encoding="utf-8"))
         out[f"snaplinks-{name}"] = snaplinks(game)
+        for seed in SIM_SEEDS:
+            out[f"rollout-{name}-{seed}"] = rollout(game, seed)
     for name, steps in RANDOM_BUDGETS:
         for seed in (1, 2):
             cfg = TrainConfig(agent="random", max_env_steps=steps)
