@@ -18,7 +18,6 @@ import sys
 
 import numpy as np
 
-from . import engine
 from .agents.training import (AGENT_KINDS, FULL_HANDICAPS, TrainConfig,
                               evaluate, load_checkpoint,
                               result_from_checkpoint, save_checkpoint, train,

@@ -5,14 +5,14 @@
 only at an effect's first tree edit, so the state it returns may share the
 input's tree: copy a state before editing its tree. A `Situation` is a
 read-only view of one state that holds what every command parsed against
-that state shares (the visible objects, the noun map, the score triggers'
-values) and each command's result, so a valid-action sweep computes them
-once and a step after the sweep reuses its probe. All gameplay rules
-funnel through the ten effect kinds in grammar.EFFECT_KINDS plus a small set
-of engine guards (you cannot open what is locked, carry past the inventory
-limit, or put a box inside itself) so authored games stay declarative. An
-effect returns its failure text and no state rather than raising; every
-rejected command gets the input state, no reward and one shared empty Diff.
+that state shares (the visible objects and the noun map) and each command's
+result, so a valid-action sweep computes them once and a step after the
+sweep reuses its probe. All gameplay rules funnel through the ten effect
+kinds in grammar.EFFECT_KINDS plus a small set of engine guards (you cannot
+open what is locked, carry past the inventory limit, or put a box inside
+itself) so authored games stay declarative. An effect returns its failure
+text and no state rather than raising; every rejected command gets the
+input state, no reward and one shared empty Diff.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .gamedefs import Condition, GameDef, ScoreRule, Trigger
+from .gamedefs import Condition, GameDef, Trigger
 from .grammar import (GrammarRule, ParseKind, ParseOutcome, Precondition,
                       tokenize, SLOT)
 from .records import fast_init
@@ -206,7 +206,6 @@ class Situation:
     def __init__(self, state: WorldState, game: GameDef) -> None:
         self.state = state
         self.game = game
-        self._triggers: dict[int, bool] = {}
         self.results: dict[str, CommandResult] = {}
 
     @cached_property
@@ -223,21 +222,15 @@ class Situation:
                 out.setdefault(name, obj)
         return out
 
-    def trigger_was_active(self, idx: int) -> bool:
-        """Whether score rule `idx`'s trigger holds in this state."""
-        if idx not in self._triggers:
-            self._triggers[idx] = _trigger_active(
-                self.state, self.game, self.game.score_rules[idx].trigger,
-                None)
-        return self._triggers[idx]
-
 
 # -- parsing -------------------------------------------------------------------
 
 
-def parse_command(state: WorldState, game: GameDef,
-                  text: str) -> ParseOutcome:
-    """Pure parser: same state and text always give the same outcome.
+def _parse(ctx: Situation, text: str
+           ) -> tuple[ParseOutcome, GrammarRule | None, bool]:
+    """Pure parser: the outcome, the chosen rule (None when no rule resolves)
+    and whether its preconditions hold. Same state and text always give the
+    same result.
 
     The rules a command can match (`GameDef.rules_led_by`) are tried in
     authored order. Among rules whose pattern matches and whose nouns
@@ -247,13 +240,6 @@ def parse_command(state: WorldState, game: GameDef,
     pattern match at all yields UNPARSEABLE. The visible-noun map is built
     only once a pattern reaches an object slot.
     """
-    return _parse(Situation(state, game), text)[0]
-
-
-def _parse(ctx: Situation, text: str
-           ) -> tuple[ParseOutcome, GrammarRule | None, bool]:
-    """parse_command's outcome, plus the chosen rule and whether its
-    preconditions hold."""
     words = _words(text)
     if not words:
         return _UNPARSEABLE, None, False
@@ -278,7 +264,7 @@ def _parse(ctx: Situation, text: str
         if not resolved:
             continue
         objects = tuple(bound)
-        if check_preconditions(ctx.state, ctx.game, rule, objects, ctx):
+        if preconditions_hold(ctx, rule, objects):
             outcome = ParseOutcome(ParseKind.RESOLVED, rule.id, objects)
             return outcome, rule, True
         if first_resolved is None:
@@ -336,10 +322,9 @@ def _precondition_holds(ctx: Situation, pre: Precondition,
     raise EngineError(f"unknown precondition kind '{kind}'")
 
 
-def check_preconditions(state: WorldState, game: GameDef, rule: GrammarRule,
-                        objects: tuple[int, ...],
-                        ctx: Situation | None = None) -> bool:
-    ctx = ctx or Situation(state, game)
+def preconditions_hold(ctx: Situation, rule: GrammarRule,
+                       objects: tuple[int, ...]) -> bool:
+    """Whether every precondition of `rule`, bound to `objects`, holds."""
     for pre in rule.preconditions:
         if not _precondition_holds(ctx, pre, objects):
             return False
@@ -624,17 +609,17 @@ def _trigger_active(state: WorldState, game: GameDef, trigger: Trigger,
     raise EngineError(f"unknown trigger kind '{trigger.kind}'")
 
 
-def _award_score(before: Situation, after: WorldState, game: GameDef,
+def _award_score(before: WorldState, after: WorldState, game: GameDef,
                  executed_rule: str) -> list[str]:
     """Fire edge-triggered score rules; mutates `after`. Returns notices.
 
     Triggers other than action_pattern read only the tree and the globals,
     so have no edge while both equal `before`'s (a latch can change them)."""
     notices = []
-    same_tree = after.tree is before.state.tree
+    same_tree = after.tree is before.tree
     for idx, sr in enumerate(game.score_rules):
         if same_tree and sr.trigger.kind != "action_pattern" and \
-                after.globals == before.state.globals:
+                after.globals == before.globals:
             continue
         latch = f"_fired:{idx}"
         if sr.once and after.globals.get(latch, 0):
@@ -643,7 +628,7 @@ def _award_score(before: Situation, after: WorldState, game: GameDef,
         if not now:
             continue
         if sr.trigger.kind != "action_pattern" and \
-                before.trigger_was_active(idx):
+                _trigger_active(before, game, sr.trigger, None):
             continue  # was already true; not an edge
         after.score += sr.points
         if sr.once:
@@ -701,7 +686,7 @@ def _execute(ctx: Situation, text: str) -> CommandResult:
     if after is None:
         return CommandResult(state, text_out, outcome, False, 0, _NO_DIFF)
     after.moves += 1
-    notices = _award_score(ctx, after, game, rule.id)
+    notices = _award_score(state, after, game, rule.id)
     if notices:
         text_out = " ".join([text_out] + notices)
     return CommandResult(after, text_out, outcome, True,

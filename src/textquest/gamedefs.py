@@ -172,12 +172,6 @@ class GameDef:
         names = [n for obj in self.objects for n in obj.names]
         return gr.build_vocabulary(self.grammar, names)
 
-    def player_id(self) -> int:
-        for obj in self.objects:
-            if obj.kind == "player":
-                return obj.id
-        raise GameValidationError(["game has no player object"])
-
 
 # -- JSON coding ---------------------------------------------------------------
 # The record dataclasses are the schema: a field's annotation gives its JSON

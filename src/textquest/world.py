@@ -12,15 +12,14 @@ it shares nodes with. For the same reason each node caches its own snapshot
 record bytes (`ObjectNode.record`): the cache cannot go stale, copies share
 it, and encoding a state joins those bytes with each node's three links.
 A state may share its whole tree with another (`WorldState.fork`), so edit
-only the tree of a state you copied. The tree keeps that join
-(`WorldObjectTree.body`) until its next edit, for every state sharing it.
+only the tree of a state you copied.
 
 The parent map is the only structure; each node's children, in ascending-id
 order, are an index derived from it, and the first-child and next-sibling
 links of the snapshot format are derived from that index. So a single take
 produces a single-entry diff, diffs are empty exactly when hashes agree, and
-two encodings of equal states are byte-identical. Restore rejects stored
-links that differ from the ones the stored parent ids derive.
+two encodings of equal states are byte-identical. Restore accepts only the
+canonical encoding of the state it reads, so one snapshot names one state.
 """
 
 from __future__ import annotations
@@ -127,19 +126,15 @@ def universe_node() -> ObjectNode:
                       attributes={"fixed"})
 
 
-def _first_player(nodes: dict[int, ObjectNode]) -> int | None:
-    return next((i for i, n in nodes.items() if n.kind == "player"), None)
-
-
 class WorldObjectTree:
     """Forest of ObjectNodes: each node's parent id, indexed by `kids`, each
     node's children in ascending-id order. A copy shares the index's tuples,
     and an edit replaces the two it changes.
 
     `player` is the id of the first player node, recorded when the tree is
-    built or decoded (kinds never change), or None when there is none.
-    Edit a built tree only through `reparent` and `set_attr`, which drop
-    the cached encoding (`body`); a direct write to the maps leaves it stale.
+    built (kinds never change), or None when there is none.
+    Edit a built tree only through `reparent` and `set_attr`, which keep
+    `kids` indexing `parent`.
     """
 
     def __init__(self) -> None:
@@ -147,7 +142,6 @@ class WorldObjectTree:
         self.parent: dict[int, int | None] = {}
         self.kids: dict[int, tuple[int, ...]] = {}
         self.player: int | None = None
-        self._body: bytes | None = None
 
     @classmethod
     def build(cls, nodes: list[ObjectNode],
@@ -166,7 +160,8 @@ class WorldObjectTree:
         for obj in sorted(node.id for node in nodes):
             tree.parent[obj] = up = parents.get(obj, ROOT_ID)
             tree.kids[up] += (obj,)  # ascending ids, so each tuple is sorted
-        tree.player = _first_player(tree.nodes)
+        tree.player = next((i for i, n in tree.nodes.items()
+                            if n.kind == "player"), None)
         return tree
 
     # -- traversal ---------------------------------------------------------
@@ -208,7 +203,6 @@ class WorldObjectTree:
         if self.in_subtree(new_parent, obj):
             raise TreeError(
                 f"reparenting {obj} under {new_parent} would create a cycle")
-        self._body = None
         old, kids = self.parent[obj], self.kids
         kids[old] = tuple(kid for kid in kids[old] if kid != obj)
         kids[new_parent] = tuple(sorted((*kids[new_parent], obj)))
@@ -220,26 +214,22 @@ class WorldObjectTree:
             raise TreeError(f"unknown object {obj} or attribute '{attr}'")
         node = self.nodes[obj]
         attrs = node.attributes | {attr} if on else node.attributes - {attr}
-        self._body = None
         self.nodes[obj] = replace(node, attributes=attrs)
 
     def body(self) -> bytes:
         """The tree's part of a snapshot: node count, then each node's record
-        and links (parent, first child, next sibling) in id order. Cached
-        until the next edit."""
-        if self._body is None:
-            nodes, parent, kids = self.nodes, self.parent, self.kids
-            parts = [struct.pack("<I", len(nodes))]
-            for obj_id in sorted(nodes):
-                up, down = parent[obj_id], kids[obj_id]
-                row = (obj_id,) if up is None else kids[up]
-                at = row.index(obj_id) + 1
-                parts.append(nodes[obj_id].record)
-                parts.append(_pack_links(-1 if up is None else up,
-                                         down[0] if down else -1,
-                                         row[at] if at < len(row) else -1))
-            self._body = b"".join(parts)
-        return self._body
+        and links (parent, first child, next sibling) in id order."""
+        nodes, parent, kids = self.nodes, self.parent, self.kids
+        parts = [struct.pack("<I", len(nodes))]
+        for obj_id in sorted(nodes):
+            up, down = parent[obj_id], kids[obj_id]
+            row = (obj_id,) if up is None else kids[up]
+            at = row.index(obj_id) + 1
+            parts.append(nodes[obj_id].record)
+            parts.append(_pack_links(-1 if up is None else up,
+                                     down[0] if down else -1,
+                                     row[at] if at < len(row) else -1))
+        return b"".join(parts)
 
     # -- integrity ---------------------------------------------------------
 
@@ -364,7 +354,8 @@ class Snapshot:
     data: bytes
 
     def restore(self) -> WorldState:
-        """Decode and validate; every malformed input raises SnapshotError."""
+        """Decode and validate. Input that is malformed, or that is not the
+        canonical encoding of the state it decodes to, raises SnapshotError."""
         try:
             return _decode(self.data)
         except (UnicodeDecodeError, KeyError, TreeError, struct.error) as exc:
@@ -384,90 +375,63 @@ class _Reader:
         self.pos += size
         return out
 
-    def take_bytes(self, size: int) -> bytes:
-        if self.pos + size > len(self.data):
-            raise SnapshotError("snapshot truncated")
-        out = self.data[self.pos:self.pos + size]
-        self.pos += size
-        return out
+    def text(self, fmt: str) -> str:
+        """A UTF-8 string after its length, which `fmt` reads."""
+        (size,) = self.take(fmt)
+        return self.take(f"<{size}s")[0].decode("utf-8")
 
 
 def _decode(data: bytes) -> WorldState:
+    """The state `data` encodes, if `data` is its canonical encoding: the
+    reader checks only what it needs to read on, and comparing the bytes
+    with the state's own encoding rejects everything else."""
     r = _Reader(data)
-    if r.take_bytes(4) != SNAPSHOT_MAGIC:
+    if r.take("<4s") != (SNAPSHOT_MAGIC,):
         raise SnapshotError("not a snapshot (bad magic)")
     version, flags = r.take("<BB")
     if version != SNAPSHOT_VERSION:
         raise SnapshotError(f"unsupported snapshot version {version}")
     if flags != 3:
         raise SnapshotError("snapshot missing counters or rng state")
-    tree = WorldObjectTree()
     (n_nodes,) = r.take("<I")
-    links: dict[int, tuple[int, int, int]] = {}
+    nodes: list[ObjectNode] = []
+    parents: dict[int, int] = {}
     for _ in range(n_nodes):
         obj_id, kind_code, n_names = r.take("<IBB")
-        names = []
-        for _ in range(n_names):
-            (length,) = r.take("<H")
-            names.append(r.take_bytes(length).decode("utf-8"))
+        names = tuple(r.text("<H") for _ in range(n_names))
         mask, key_id, capacity = r.take("<Hii")
-        (length,) = r.take("<I")
-        text = r.take_bytes(length).decode("utf-8")
+        text = r.text("<I")
         (has_read,) = r.take("<B")
-        read_text = None
-        if has_read:
-            (length,) = r.take("<I")
-            read_text = r.take_bytes(length).decode("utf-8")
+        read_text = r.text("<I") if has_read else None
         if kind_code >= len(KINDS):
             raise SnapshotError(f"unknown kind code {kind_code}")
         if not names:
             raise SnapshotError(f"object {obj_id} has no name")
-        if mask >> len(ATTRIBUTES):
-            raise SnapshotError(f"unknown attribute bits in {mask:#x}")
-        if obj_id in tree.nodes:
-            raise SnapshotError(f"duplicate object id {obj_id}")
-        if min(key_id, capacity) < -1:
-            raise SnapshotError(f"object {obj_id} has a key or capacity < -1")
+        up, _, _ = r.take("<iii")  # the child and sibling links are derived
+        if obj_id == ROOT_ID:
+            continue  # build() adds the universe root
         attrs = frozenset(a for a in ATTRIBUTES if mask & _ATTR_BIT[a])
-        tree.nodes[obj_id] = ObjectNode(
-            id=obj_id, names=tuple(names), kind=KINDS[kind_code],
-            attributes=attrs,
+        nodes.append(ObjectNode(
+            id=obj_id, names=names, kind=KINDS[kind_code], attributes=attrs,
             key_id=None if key_id < 0 else key_id,
             capacity=None if capacity < 0 else capacity,
-            text=text, read_text=read_text)
-        links[obj_id] = r.take("<iii")
-    ends = {end for trio in links.values() for end in trio} - {-1}
-    if not ends <= tree.nodes.keys():
-        raise SnapshotError(
-            f"links name unknown ids {sorted(ends - tree.nodes.keys())}")
-    for obj_id, (up, down, _) in links.items():
-        tree.parent[obj_id] = None if up < 0 else up
-        # a chain longer than the forest has looped; validate() rejects it
-        chain = []
-        while down >= 0 and len(chain) <= n_nodes:
-            chain.append(down)
-            down = links[down][2]
-        tree.kids[obj_id] = tuple(chain)
-    tree.player = _first_player(tree.nodes)
+            text=text, read_text=read_text))
+        parents[obj_id] = up
+    tree = WorldObjectTree.build(nodes, parents)
+    tree.validate()  # parent ids that loop re-encode to their own bytes
     (n_globals,) = r.take("<I")
     globals_map: dict[str, int] = {}
     for _ in range(n_globals):
-        (length,) = r.take("<H")
-        key = r.take_bytes(length).decode("utf-8")
+        key = r.text("<H")
         (value,) = r.take("<q")
         globals_map[key] = value
-    (done,) = r.take("<B")
-    if done > 1:
-        raise SnapshotError(f"done byte {done} is neither 0 nor 1")
-    score, moves = r.take("<qI")
-    (rng_state,) = r.take("<Q")
-    if r.pos != len(data):
-        raise SnapshotError("trailing bytes after snapshot")
-    tree.validate()  # so the stored chains are those the parent ids derive
-    if links[ROOT_ID][2] >= 0:  # the one link that no chain reads
-        raise SnapshotError("root must not have a sibling")
-    return WorldState(tree=tree, globals=globals_map, score=score,
-                      moves=moves, done=bool(done), rng=SplitMix64(rng_state))
+    done, score, moves, rng_state = r.take("<BqIQ")
+    state = WorldState(tree=tree, globals=globals_map, score=score,
+                       moves=moves, done=bool(done), rng=SplitMix64(rng_state))
+    if state.encode() != data:
+        raise SnapshotError("snapshot is not the canonical encoding of its "
+                            "state")
+    return state
 
 
 # -- diffs --------------------------------------------------------------------

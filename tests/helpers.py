@@ -11,7 +11,7 @@ import numpy as np
 
 from textquest.agents.models import (ModelConfig, drrn_q_values,
                                      tdqn_forward)
-from textquest.engine import check_preconditions, visible_objects
+from textquest.engine import Situation, preconditions_hold, visible_objects
 from textquest.grammar import SLOT, ParseKind, ParseOutcome, tokenize
 from textquest.world import (ATTRIBUTES, KINDS, SNAPSHOT_MAGIC,
                              SNAPSHOT_VERSION, Diff, GlobalChange,
@@ -258,7 +258,7 @@ def reference_parse_command(state, game, text):
                                objects=tuple(bound))
         if first_resolved is None:
             first_resolved = outcome
-        if check_preconditions(state, game, rule, tuple(bound)):
+        if preconditions_hold(Situation(state, game), rule, tuple(bound)):
             return outcome
     if first_resolved is not None:
         return first_resolved

@@ -4,8 +4,8 @@ import pytest
 
 from textquest.engine import (MSG_CANT, MSG_DARKNESS, MSG_UNPARSEABLE,
                               MSG_UNRESOLVED, execute, init_state, is_dark,
-                              parse_command, player_room, render_inventory,
-                              render_room, visible_objects)
+                              player_room, render_inventory, render_room,
+                              visible_objects)
 from textquest.gamedefs import parse_game
 from textquest.grammar import ParseKind
 
@@ -123,25 +123,25 @@ def start(manor):
 
 
 def test_parse_kinds(start, manor):
-    assert parse_command(start, manor, "frob the wug").kind is \
+    assert execute(start, manor, "frob the wug").outcome.kind is \
         ParseKind.UNPARSEABLE
-    assert parse_command(start, manor, "take unicorn").kind is \
+    assert execute(start, manor, "take unicorn").outcome.kind is \
         ParseKind.UNRESOLVED
-    out = parse_command(start, manor, "take key")
+    out = execute(start, manor, "take key").outcome
     assert out.kind is ParseKind.RESOLVED
     assert out.rule_id == "take" and out.objects == (12,)
 
 
 def test_parse_hidden_noun_is_unresolved(start, manor):
     # the coin exists but sits inside the locked chest
-    assert parse_command(start, manor, "take coin").kind is \
+    assert execute(start, manor, "take coin").outcome.kind is \
         ParseKind.UNRESOLVED
 
 
 def test_parse_is_deterministic_and_pure(start, manor):
     before = start.snapshot().data
-    a = parse_command(start, manor, "rub key")
-    b = parse_command(start, manor, "rub key")
+    a = execute(start, manor, "rub key").outcome
+    b = execute(start, manor, "rub key").outcome
     assert a == b
     assert start.snapshot().data == before
 

@@ -425,6 +425,5 @@ def test_serialize_omits_empty_fields(tinybox):
 
 
 def test_gamedef_helpers(tinybox):
-    assert tinybox.player_id() == 10
     assert tinybox.templates()
     assert len(tinybox.vocabulary()) > 0

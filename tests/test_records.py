@@ -10,8 +10,8 @@ import pytest
 
 from helpers import reference_parse_command
 from textquest.agents.training import CANONICAL_ACTIONS
-from textquest.engine import (CommandResult, Situation, _parse,
-                              check_preconditions, execute, init_state)
+from textquest.engine import (CommandResult, Situation, _parse, execute,
+                              init_state, preconditions_hold)
 from textquest.env import AugmentedObservation, StepResult, ValidActionSet
 from textquest.gamedefs import bundled_game_names, load_bundled
 from textquest.grammar import (ActionCandidate, ParseKind, ParseOutcome,
@@ -119,8 +119,8 @@ def test_parse_of_every_walkthrough_command_matches_the_reference(name):
             assert outcome == reference_parse_command(state, game, text)
             if outcome.kind is ParseKind.RESOLVED:
                 assert rule is rules[outcome.rule_id]
-                assert ok == check_preconditions(state, game, rule,
-                                                 outcome.objects)
+                assert ok == preconditions_hold(Situation(state, game),
+                                                rule, outcome.objects)
             else:
                 assert (rule, ok) == (None, False)
         outcome, rule, ok = _parse(Situation(state, game), command)

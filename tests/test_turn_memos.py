@@ -1,6 +1,7 @@
-"""What a turn computes once and reuses: the tree's cached snapshot body,
-each Situation's command results and each game's probe lists, checked
-against the plain computations they stand for."""
+"""What a turn computes once and reuses, checked against the plain
+computations they stand for: each Situation's command results and each
+game's probe lists; and the encoding that joins each node's cached record,
+against the field-by-field reference."""
 
 import random
 
@@ -21,10 +22,9 @@ def _assert_encodes_like_reference(state: WorldState) -> None:
         for rng in (True, False):
             assert state.encode(counters, rng) == \
                 reference_encode(state, counters, rng)
-    assert state.tree.body() is state.tree.body()  # kept, not rebuilt
 
 
-# -- the tree's cached encoding -------------------------------------------------
+# -- the tree's encoding -------------------------------------------------
 
 
 @pytest.mark.parametrize("name", GAMES)
@@ -48,13 +48,13 @@ def test_cached_encoding_matches_reference_on_every_walkthrough_state(name):
             assert env.state.encode() == snapshot.data
         env.step(command)
         fork = env.state.fork()
-        assert fork.tree.body() is env.state.tree.body()
+        assert fork.tree is env.state.tree
         _assert_encodes_like_reference(fork)
     assert env.done
     _assert_encodes_like_reference(env.state)
 
 
-def test_reparent_and_set_attr_drop_the_cached_encoding():
+def test_reparent_and_set_attr_change_the_encoding():
     game = load_bundled("mailhouse")
     state = init_state(game, 0)
     item = next(i for i, n in sorted(state.tree.nodes.items())
@@ -69,7 +69,7 @@ def test_reparent_and_set_attr_drop_the_cached_encoding():
         edit(twin.tree)
         assert twin.tree.body() != body
         _assert_encodes_like_reference(twin)
-    assert state.encode() == before  # the copy never shared the cache
+    assert state.encode() == before  # the copy's edits never reach it
 
 
 # -- command results kept per Situation ---------------------------------------------

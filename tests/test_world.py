@@ -260,6 +260,33 @@ def _set_done(data, value):
     return data[:-21] + bytes([value]) + data[-20:]
 
 
+def _read_flag_offset(obj):
+    """Offset in MAILHOUSE_SNAPSHOT of node `obj`'s read-text presence byte,
+    which the read text's u32 length and bytes follow to end the record."""
+    nodes = MAILHOUSE_START.tree.nodes
+    end = 10 + sum(len(nodes[i].record) + 12 for i in sorted(nodes) if i < obj)
+    end += len(nodes[obj].record)
+    return end - 5 - len(nodes[obj].read_text.encode())
+
+
+def _set_read_flag(data, obj, value):
+    pos = _read_flag_offset(obj)
+    return data[:pos] + bytes([value]) + data[pos + 1:]
+
+
+def _set_root_record(data, old, new):
+    """MAILHOUSE_SNAPSHOT with the bytes `old` at the start of the root's
+    record (after magic, version, flags and node count) set to `new`."""
+    assert data[10:10 + len(old)] == old and len(new) == len(old)
+    return data[:10] + new + data[10 + len(old):]
+
+
+# the root's record opens with id 0, kind scenery, one name "universe",
+# then its attribute mask: "fixed" only
+ROOT_HEAD = struct.pack("<IBBH", 0, 3, 1, 8) + b"universe"
+ROOT_MASK = struct.pack("<H", 1 << ATTRIBUTES.index("fixed"))
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda d: _set_link(MAILHOUSE_START, d, 0, 0, -2),  # the root's parent
     lambda d: _set_link(MAILHOUSE_START, d, 0, 2, -2),
@@ -271,11 +298,21 @@ def _set_done(data, value):
     lambda d: _set_key_or_capacity(d, 0, 1, -2 ** 31),
     lambda d: _set_done(d, 2),
     lambda d: _set_done(d, 255),
+    lambda d: _set_read_flag(d, 12, 2),  # the leaflet
+    lambda d: _set_read_flag(d, 15, 255),  # the letter
+    lambda d: _set_root_record(d, ROOT_HEAD, ROOT_HEAD[:-8] + b"Universe"),
+    lambda d: _set_root_record(d, ROOT_HEAD, ROOT_HEAD[:4] + b"\0" +
+                               ROOT_HEAD[5:]),
+    lambda d: _set_root_record(d, ROOT_HEAD + ROOT_MASK,
+                               ROOT_HEAD + b"\0\0"),
 ], ids=["root-parent", "root-sibling", "first-child", "sibling", "parent",
-        "key", "capacity", "root-capacity", "done-2", "done-255"])
+        "key", "capacity", "root-capacity", "done-2", "done-255",
+        "read-flag-2", "read-flag-255", "root-name", "root-kind",
+        "root-attributes"])
 def test_decode_rejects_non_canonical_values(corrupt):
-    """Every negative id or count other than -1, and every done byte other
-    than 0 or 1, would restore to a state whose encoding differs."""
+    """Every negative id or count other than -1, every done or read-text
+    presence byte other than 0 or 1, and every root record but the
+    universe's would restore to a state whose encoding differs."""
     bad = corrupt(MAILHOUSE_SNAPSHOT)
     assert bad != MAILHOUSE_SNAPSHOT and len(bad) == len(MAILHOUSE_SNAPSHOT)
     with pytest.raises(SnapshotError):
@@ -288,6 +325,46 @@ def test_non_canonical_cases_edit_the_fields_they_name():
     restored = Snapshot(data).restore()
     assert (restored.tree.nodes[1].key_id, restored.tree.nodes[1].capacity,
             restored.done) == (7, 5, True)
+    assert [_read_flag_offset(obj) for obj in (12, 15)] == [659, 1007]
+    for obj in (12, 15):
+        pos = _read_flag_offset(obj)
+        text = MAILHOUSE_START.tree.nodes[obj].read_text.encode()
+        assert MAILHOUSE_SNAPSHOT[pos:pos + 5 + len(text)] == \
+            struct.pack("<BI", 1, len(text)) + text
+    assert MAILHOUSE_SNAPSHOT[10:10 + len(ROOT_HEAD) + 2] == \
+        ROOT_HEAD + ROOT_MASK
+
+
+def _with_globals(*entries):
+    """MAILHOUSE_SNAPSHOT, which has no globals, with its globals section
+    written as the (name, value) pairs `entries` in the order given."""
+    head = 6 + len(MAILHOUSE_START.tree.body())  # magic, version, flags
+    assert MAILHOUSE_SNAPSHOT[head:-21] == struct.pack("<I", 0)
+    parts = [struct.pack("<I", len(entries))]
+    for name, value in entries:
+        parts += [struct.pack("<H", len(name)), name.encode(),
+                  struct.pack("<q", value)]
+    return MAILHOUSE_SNAPSHOT[:head] + b"".join(parts) + \
+        MAILHOUSE_SNAPSHOT[-21:]
+
+
+@pytest.mark.parametrize("entries", [
+    (("b", 2), ("a", 1)),
+    (("a", 5), ("a", 1), ("b", 2)),
+    (("a", 1), ("b", 2), ("b", 2)),
+    (("a", 1), ("b", 2), ("z", 0)),
+    (("a", 0),),
+], ids=["out-of-order", "repeated-key", "repeated-entry", "zero-valued",
+        "only-zero"])
+def test_decode_rejects_non_canonical_globals(entries):
+    """Globals are written once each, nonzero, in name order; any other
+    form would restore to a state whose encoding differs."""
+    canonical = _with_globals(("a", 1), ("b", 2))
+    restored = Snapshot(canonical).restore()
+    assert restored.globals == {"a": 1, "b": 2}
+    assert restored.snapshot().data == canonical
+    with pytest.raises(SnapshotError):
+        Snapshot(_with_globals(*entries)).restore()
 
 
 @pytest.mark.parametrize("name", bundled_game_names())
@@ -306,6 +383,8 @@ def test_walkthrough_snapshots_restore_to_their_bytes(name):
 @given(st.lists(st.tuples(st.integers(0, len(MAILHOUSE_SNAPSHOT) - 1),
                           st.integers(0, 255)), min_size=1, max_size=4))
 def test_mutated_snapshot_raises_snapshot_error_or_validates(edits):
+    """A mutated snapshot either fails or names the state it restores to:
+    that state re-encodes to exactly the mutated bytes."""
     data = bytearray(MAILHOUSE_SNAPSHOT)
     for pos, value in edits:
         data[pos] = value
@@ -314,6 +393,7 @@ def test_mutated_snapshot_raises_snapshot_error_or_validates(edits):
     except SnapshotError:
         return
     restored.tree.validate()
+    assert restored.snapshot().data == data
 
 
 def test_attribute_bit_order_is_sorted():
