@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import product
 
 from .gamedefs import Condition, GameDef, Trigger
 from .grammar import (GrammarRule, ParseKind, ParseOutcome, Precondition,
@@ -180,18 +181,62 @@ def _words(text: str) -> tuple[str, ...]:
 
 
 def may_edit_tree(game: GameDef, text: str) -> bool:
-    """False when `text` cannot change the object tree in any state: every
-    rule it can match (`GameDef.rules_led_by`) emits text or sets a global,
-    and score rules never edit the tree."""
+    """False when `text` cannot change the tree in any state play reaches:
+    no rule whose pattern it matches, with each slot bound to an object its
+    word names (`GameDef.named`), may edit it, judged from facts no effect
+    changes: which directions have a passage from some room; each object's
+    initial value of every attribute no set-attribute, clear-attribute,
+    toggle-light or unlock-with effect touches (`GameDef.static_attrs`), for
+    has_attr, lacks_attr and what take, open, light and put-in (container-
+    ness) need; and key ids, for key_matches and unlock-with."""
     words = _words(text)
-    return bool(words) and any(
-        rule.effect.kind not in ("emit-text", "set-global")
-        for rule in game.rules_led_by(len(words), words[0]))
+    for rule in game.rules_led_by(len(words), words[0]) if words else ():
+        pairs = tuple(zip(rule.tokens, words))
+        slots = [game.named.get(w, ()) for p, w in pairs if p == SLOT]
+        if all(p in (SLOT, w) for p, w in pairs) and any(
+                _may_edit(game, rule, objects) for objects in product(*slots)):
+            return True
+    return False
+
+
+def _may_edit(game: GameDef, rule: GrammarRule,
+              objects: tuple[ObjectNode, ...]) -> bool:
+    """Whether `rule`, slots bound to `objects`, may edit the tree; an
+    object the rule names by id is not judged."""
+    def at(slot, literal=None, default=1):
+        return None if literal is not None else \
+            _target(slot, None, objects, default)
+    eff, kind = rule.effect, rule.effect.kind
+    if kind in ("emit-text", "set-global") or kind == "move-player" and \
+            not any(eff.direction in exits for exits in game.exits.values()):
+        return False
+    target, second = at(eff.slot, eff.obj), at(eff.slot2, default=2)
+    needs = [(at(p.slot, p.obj), p.attr, p.kind == "has_attr")
+             for p in rule.preconditions if p.kind in ("has_attr",
+                                                       "lacks_attr")]
+    keys = [(at(p.slot, p.obj), at(p.slot2, default=2))
+            for p in rule.preconditions if p.kind == "key_matches"]
+    if kind == "reparent-to-player" and eff.slot is not None:
+        needs.append((target, "takeable", True))
+    elif kind == "set-attribute" and eff.attr == "open":
+        needs += [(target, "openable", True), (target, "locked", False)]
+    elif kind == "toggle-light" or kind == "set-attribute" and \
+            eff.attr == "lit":
+        needs.append((target, "lightsource", True))
+    elif kind == "unlock-with":
+        keys.append((target, second))
+    elif kind == "put-in":
+        needs.append((second, "container", True))
+    static = game.static_attrs
+    return all(obj is None or attr not in static or obj.has(attr) == want
+               for obj, attr, want in needs) and \
+        all(None in (obj, key) or obj.key_id == key.id for obj, key in keys)
 
 
 def extract_nouns(text: str, game: GameDef) -> list[str]:
-    """Tokens of `text` that name some non-room object, sorted and unique."""
-    return sorted(game.nouns.intersection(tokenize(text)))
+    """Tokens of `text` that name an item or scenery, sorted and unique."""
+    return sorted({word for word in tokenize(text) if any(
+        obj.kind in ("item", "scenery") for obj in game.named.get(word, ()))})
 
 
 class Situation:
@@ -617,7 +662,9 @@ def _award_score(before: WorldState, after: WorldState, game: GameDef,
     so have no edge while both equal `before`'s (a latch can change them)."""
     notices = []
     same_tree = after.tree is before.tree
-    for idx, sr in enumerate(game.score_rules):
+    unchanged = same_tree and after.globals == before.globals
+    rules = () if unchanged and not game.action_scored else game.score_rules
+    for idx, sr in enumerate(rules):
         if same_tree and sr.trigger.kind != "action_pattern" and \
                 after.globals == before.globals:
             continue

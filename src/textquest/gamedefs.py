@@ -159,11 +159,25 @@ class GameDef:
         return _LruCache(PROBE_LISTS_CAPACITY)
 
     @cached_property
-    def nouns(self) -> frozenset[str]:
-        """Every name of an item or scenery object."""
-        return frozenset(name for obj in self.objects
-                         if obj.kind in ("item", "scenery")
-                         for name in obj.names)
+    def named(self) -> dict[str, tuple[ObjectNode, ...]]:
+        """Name -> every object that carries it, as the game defines it."""
+        return {name: tuple(o for o in self.objects if name in o.names)
+                for obj in self.objects for name in obj.names}
+
+    @cached_property
+    def static_attrs(self) -> frozenset[str]:
+        """Attributes no effect changes, so every object keeps its own."""
+        touched = {"toggle-light": "lit", "unlock-with": "locked"}
+        return frozenset(ATTRIBUTES).difference(
+            r.effect.attr if r.effect.kind in ("set-attribute",
+                                               "clear-attribute")
+            else touched.get(r.effect.kind) for r in self.grammar)
+
+    @cached_property
+    def action_scored(self) -> bool:
+        """Whether a score rule fires on the rule a command ran."""
+        return any(sr.trigger.kind == "action_pattern"
+                   for sr in self.score_rules)
 
     def templates(self) -> tuple[gr.Template, ...]:
         return gr.extract_templates(self.grammar)

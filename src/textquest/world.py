@@ -20,6 +20,12 @@ links of the snapshot format are derived from that index. So a single take
 produces a single-entry diff, diffs are empty exactly when hashes agree, and
 two encodings of equal states are byte-identical. Restore accepts only the
 canonical encoding of the state it reads, so one snapshot names one state.
+
+Edits are logged. Invariant: a tree whose `base` is another tree's `stamp`
+is a copy of it that differs only at the ids in its `edits`; every edit
+replaces the stamp of the tree it edits. A copy shares its source's encoded
+per-node chunks (record and links), and an edit drops the chunks of the
+nodes whose record or links it changes.
 """
 
 from __future__ import annotations
@@ -134,7 +140,7 @@ class WorldObjectTree:
     `player` is the id of the first player node, recorded when the tree is
     built (kinds never change), or None when there is none.
     Edit a built tree only through `reparent` and `set_attr`, which keep
-    `kids` indexing `parent`.
+    `kids` indexing `parent` and log the edit.
     """
 
     def __init__(self) -> None:
@@ -142,6 +148,11 @@ class WorldObjectTree:
         self.parent: dict[int, int | None] = {}
         self.kids: dict[int, tuple[int, ...]] = {}
         self.player: int | None = None
+        self.chunks: list[bytes | None] = []  # body() parts, None if stale
+        self.slot: dict[int, int] = {}  # id -> index of its chunk
+        self.edits: set[int] = set()  # ids edited since this tree was copied
+        self.stamp = object()  # replaced at every edit
+        self.base: object = None  # the source's stamp when copied
 
     @classmethod
     def build(cls, nodes: list[ObjectNode],
@@ -162,6 +173,9 @@ class WorldObjectTree:
             tree.kids[up] += (obj,)  # ascending ids, so each tuple is sorted
         tree.player = next((i for i, n in tree.nodes.items()
                             if n.kind == "player"), None)
+        tree.slot = {obj: i for i, obj in enumerate(sorted(tree.nodes), 1)}
+        tree.chunks = [struct.pack("<I", len(tree.nodes))]
+        tree.chunks += [None] * len(tree.nodes)
         return tree
 
     # -- traversal ---------------------------------------------------------
@@ -204,9 +218,16 @@ class WorldObjectTree:
             raise TreeError(
                 f"reparenting {obj} under {new_parent} would create a cycle")
         old, kids = self.parent[obj], self.kids
-        kids[old] = tuple(kid for kid in kids[old] if kid != obj)
-        kids[new_parent] = tuple(sorted((*kids[new_parent], obj)))
+        row = kids[old]
+        at = row.index(obj)
+        kids[old] = row[:at] + row[at + 1:]
+        new_row = kids[new_parent] = tuple(sorted((*kids[new_parent], obj)))
         self.parent[obj] = new_parent
+        to = new_row.index(obj)
+        # the two parents' first child and the next-sibling links of the
+        # nodes before `obj` in its old and new row may change
+        self._edited(obj, old, new_parent, *row[:at][-1:],
+                     *new_row[:to][-1:])
 
     def set_attr(self, obj: int, attr: str, on: bool = True) -> None:
         """Turn `attr` on or off for `obj`, in place, by replacing its node."""
@@ -215,21 +236,29 @@ class WorldObjectTree:
         node = self.nodes[obj]
         attrs = node.attributes | {attr} if on else node.attributes - {attr}
         self.nodes[obj] = replace(node, attributes=attrs)
+        self._edited(obj)
+
+    def _edited(self, obj: int, *linked: int) -> None:
+        """Log an edit of `obj` and drop the chunks it may have changed."""
+        self.edits.add(obj)
+        self.stamp = object()
+        for changed in (obj, *linked):
+            self.chunks[self.slot[changed]] = None
 
     def body(self) -> bytes:
         """The tree's part of a snapshot: node count, then each node's record
         and links (parent, first child, next sibling) in id order."""
-        nodes, parent, kids = self.nodes, self.parent, self.kids
-        parts = [struct.pack("<I", len(nodes))]
-        for obj_id in sorted(nodes):
-            up, down = parent[obj_id], kids[obj_id]
-            row = (obj_id,) if up is None else kids[up]
-            at = row.index(obj_id) + 1
-            parts.append(nodes[obj_id].record)
-            parts.append(_pack_links(-1 if up is None else up,
-                                     down[0] if down else -1,
-                                     row[at] if at < len(row) else -1))
-        return b"".join(parts)
+        chunks, kids = self.chunks, self.kids
+        if None in chunks:  # pack what an edit dropped
+            for obj, i in self.slot.items():
+                if chunks[i] is None:
+                    up, down = self.parent[obj], kids[obj]
+                    row = (obj,) if up is None else kids[up]
+                    at = row.index(obj) + 1
+                    chunks[i] = self.nodes[obj].record + _pack_links(
+                        -1 if up is None else up, down[0] if down else -1,
+                        row[at] if at < len(row) else -1)
+        return b"".join(chunks)
 
     # -- integrity ---------------------------------------------------------
 
@@ -260,12 +289,15 @@ class WorldObjectTree:
             raise TreeError(f"unreachable nodes: {sorted(missing)}")
 
     def copy(self) -> "WorldObjectTree":
-        """Independent maps over the same (immutable) nodes and tuples."""
+        """Independent maps over the same nodes, tuples and chunks."""
         dup = WorldObjectTree()
         dup.nodes = dict(self.nodes)
         dup.parent = dict(self.parent)
         dup.kids = dict(self.kids)
         dup.player = self.player
+        dup.chunks = list(self.chunks)
+        dup.slot = self.slot
+        dup.base = self.stamp
         return dup
 
 
@@ -465,10 +497,6 @@ class Diff:
     globals: tuple[GlobalChange, ...] = ()
     status: tuple[StatusChange, ...] = ()
 
-    @property
-    def is_empty(self) -> bool:
-        return not (self.tree or self.globals or self.status)
-
     def diff_hash(self) -> int:
         return _hash_bytes(repr((self.tree, self.globals, self.status))
                            .encode("utf-8"))
@@ -477,29 +505,29 @@ class Diff:
 def state_diff(a: WorldState, b: WorldState) -> Diff:
     """Diff two states. Entries are sorted, so equal diffs compare equal.
 
-    A channel is scanned only when its maps differ, and attributes only for
-    objects whose nodes are not shared between the two states, and not at
-    all for states that share one tree.
+    Only the edited objects are compared when `b`'s tree is an edited copy
+    of `a`'s (see the module docstring), none when the trees are one.
     """
     ta, tb = a.tree, b.tree
     tree_changes = []
     if ta is not tb:
-        ids_a, ids_b = ta.nodes.keys(), tb.nodes.keys()
-        tree_changes = [TreeChange(obj, "present", obj in ids_a,
-                                   obj in ids_b) for obj in ids_a ^ ids_b]
-        common = ids_a & ids_b
-        if ta.parent != tb.parent:
-            tree_changes += [TreeChange(obj, "parent", ta.parent[obj],
-                                        tb.parent[obj]) for obj in common
-                             if ta.parent[obj] != tb.parent[obj]]
-        if ta.nodes != tb.nodes:
-            for obj in common:
-                na, nb = ta.nodes[obj], tb.nodes[obj]
-                if na is not nb:
-                    tree_changes += [
-                        TreeChange(obj, f"attr:{attr}", attr in na.attributes,
-                                   attr in nb.attributes)
-                        for attr in na.attributes ^ nb.attributes]
+        if tb.base is ta.stamp:
+            common = tb.edits
+        else:
+            ids_a, ids_b = ta.nodes.keys(), tb.nodes.keys()
+            tree_changes = [TreeChange(obj, "present", obj in ids_a,
+                                       obj in ids_b) for obj in ids_a ^ ids_b]
+            common = ids_a & ids_b
+        tree_changes += [TreeChange(obj, "parent", ta.parent[obj],
+                                    tb.parent[obj]) for obj in common
+                         if ta.parent[obj] != tb.parent[obj]]
+        for obj in common:
+            na, nb = ta.nodes[obj], tb.nodes[obj]
+            if na is not nb:
+                tree_changes += [
+                    TreeChange(obj, f"attr:{attr}", attr in na.attributes,
+                               attr in nb.attributes)
+                    for attr in na.attributes ^ nb.attributes]
     global_changes = []
     if a.globals != b.globals:
         for name in sorted(a.globals.keys() | b.globals.keys()):
@@ -510,8 +538,8 @@ def state_diff(a: WorldState, b: WorldState) -> Diff:
         ("done", a.done, b.done), ("moves", a.moves, b.moves),
         ("score", a.score, b.score)) if old != new]
     tree_changes.sort()  # (obj, field) pairs are unique
-    return Diff(tree=tuple(tree_changes), globals=tuple(global_changes),
-                status=tuple(status_changes))
+    return Diff(tuple(tree_changes), tuple(global_changes),
+                tuple(status_changes))
 
 
 def reparent(state: WorldState, obj: int, new_parent: int) -> WorldState:

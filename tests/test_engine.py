@@ -8,6 +8,7 @@ from textquest.engine import (MSG_CANT, MSG_DARKNESS, MSG_UNPARSEABLE,
                               visible_objects)
 from textquest.gamedefs import parse_game
 from textquest.grammar import ParseKind
+from textquest.world import Diff
 
 
 def play(state, game, *commands):
@@ -377,7 +378,7 @@ def test_execute_never_mutates_input(start, manor):
 def test_rejected_commands_return_same_state_object(start, manor):
     result = execute(start, manor, "sing")
     assert result.state is start
-    assert result.diff.is_empty and result.reward == 0
+    assert result.diff == Diff() and result.reward == 0
 
 
 def test_replay_determinism(start, manor):

@@ -74,7 +74,7 @@ def test_defaults_and_post_init_still_apply():
         (None, None, "", None)
     assert dataclasses.replace(node, attributes={"open"}).attributes == \
         frozenset({"open"})
-    assert Diff() == Diff((), (), ()) and Diff().is_empty
+    assert Diff() == Diff((), (), ())
     assert ParseOutcome(ParseKind.UNRESOLVED).objects == ()
 
 

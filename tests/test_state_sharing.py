@@ -6,6 +6,7 @@ cached-record encoder against their plain references in tests/helpers.py."""
 
 import dataclasses
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -495,14 +496,83 @@ def test_tree_sharing_matches_copying_every_applied_state(name, monkeypatch):
     assert play() == shared
 
 
+def _static_attrs(game):
+    """Attributes that no effect of the game sets, clears, toggles or
+    unlocks."""
+    touched = set()
+    for rule in game.grammar:
+        eff = rule.effect
+        if eff.kind in ("set-attribute", "clear-attribute"):
+            touched.add(eff.attr)
+        touched |= {"toggle-light": {"lit"},
+                    "unlock-with": {"locked"}}.get(eff.kind, set())
+    return set(ATTRIBUTES) - touched
+
+
+def _rule_may_edit(game, rule, bound):
+    """Whether `rule` with its slots bound to the object ids `bound` could
+    edit the tree, judged by passages, static attributes and key ids of the
+    bound objects (an object the rule names by id is not judged)."""
+    objects = {obj.id: obj for obj in game.objects}
+    static = _static_attrs(game)
+
+    def pick(slot, literal, default):
+        if literal is not None:
+            return None
+        slot = default if slot is None else slot
+        return objects[bound[slot - 1]] if slot <= len(bound) else None
+
+    def ruled_out(node, attr, want):
+        return node is not None and attr in static and \
+            (attr in node.attributes) != want
+
+    def wrong_key(node, key):
+        return node is not None and node.key_id != (key and key.id)
+
+    for pre in rule.preconditions:
+        node = pick(pre.slot, pre.obj, 1)
+        if pre.kind in ("has_attr", "lacks_attr") and \
+                ruled_out(node, pre.attr, pre.kind == "has_attr"):
+            return False
+        if pre.kind == "key_matches" and \
+                wrong_key(node, pick(pre.slot2, None, 2)):
+            return False
+    eff = rule.effect
+    target, second = pick(eff.slot, eff.obj, 1), pick(eff.slot2, None, 2)
+    if eff.kind in ("emit-text", "set-global"):
+        return False
+    if eff.kind == "move-player":
+        return any(eff.direction in exits for exits in game.exits.values())
+    if eff.kind == "reparent-to-player" and (eff.slot or eff.obj):
+        return not ruled_out(target, "takeable", True)
+    if eff.kind == "set-attribute" and eff.attr == "open":
+        return not (ruled_out(target, "openable", True) or
+                    ruled_out(target, "locked", False))
+    if eff.kind == "toggle-light" or (eff.kind == "set-attribute" and
+                                      eff.attr == "lit"):
+        return not ruled_out(target, "lightsource", True)
+    if eff.kind == "unlock-with":
+        return not wrong_key(target, second)
+    if eff.kind == "put-in":
+        return not ruled_out(second, "container", True)
+    return True
+
+
 def _may_edit_tree(game, text):
-    """Whether a rule of `text`'s length led by its first word or by OBJ
-    has an effect that edits the tree."""
+    """Whether some rule whose whole pattern `text` matches, its slots bound
+    to any objects their words name, may edit the tree."""
     words = tokenize(text)
-    return any(r.effect.kind not in ("emit-text", "set-global")
-               for r in game.grammar if words and
-               len(r.pattern.split()) == len(words) and
-               r.pattern.split()[0] in (words[0], SLOT))
+    for rule in game.grammar:
+        pattern = rule.pattern.split()
+        if len(pattern) != len(words) or any(
+                p not in (SLOT, w) for p, w in zip(pattern, words)):
+            continue
+        choices = [[obj.id for obj in game.objects if w in obj.names]
+                   for p, w in zip(pattern, words) if p == SLOT]
+        if any(_rule_may_edit(game, rule, bound)
+               for bound in itertools.product(*choices)):
+            return True
+    return False
 
 
 @pytest.mark.parametrize("name", GAMES + ("headbox",))
@@ -523,6 +593,11 @@ def test_sweep_probes_only_fillings_that_may_edit_the_tree(name,
     monkeypatch.setattr(engine, "execute", spy)
     env.identify_valid_actions()
     assert probed == [s for s in surfaces if _may_edit_tree(game, s)]
-    # OBJ-led tree rules make every two-word headbox filling a probe
-    assert ("examine gong" in probed) == (name == "headbox")
+    # an OBJ-led tree rule matches only its own second word, and the gong's
+    # takeable attribute is static
+    assert ("gong shove" in probed) == (name == "headbox")
     assert "look" in surfaces and "look" not in probed
+    assert "examine gong" not in probed
+    if name == "headbox":
+        assert {"take pebble", "kick gong"} <= set(probed)
+        assert "take gong" in surfaces and "take gong" not in probed

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from textquest.engine import execute, init_state
 from textquest.gamedefs import bundled_game_names, load_bundled
 from textquest.rng import SplitMix64
-from textquest.world import (ATTRIBUTES, ObjectNode, Snapshot, SnapshotError,
-                             TreeError, WorldObjectTree, WorldState,
-                             reparent, state_diff, universe_node)
+from textquest.world import (ATTRIBUTES, Diff, ObjectNode, Snapshot,
+                             SnapshotError, TreeError, WorldObjectTree,
+                             WorldState, reparent, state_diff, universe_node)
 
 
 def node(obj_id, name, kind="item", parent=None, attrs=(), **kw):
@@ -423,11 +423,11 @@ def test_single_reparent_single_diff_entry(state):
 
 def test_diff_empty_iff_hash_equal(state):
     twin = state.copy()
-    assert state_diff(state, twin).is_empty
+    assert state_diff(state, twin) == Diff()
     assert state.state_hash() == twin.state_hash()
     twin.globals["g"] = 1
     diff = state_diff(state, twin)
-    assert not diff.is_empty and state.state_hash() != twin.state_hash()
+    assert diff != Diff() and state.state_hash() != twin.state_hash()
     assert diff.globals[0].name == "g"
     assert (diff.globals[0].old, diff.globals[0].new) == (0, 1)
 

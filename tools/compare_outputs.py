@@ -28,7 +28,7 @@ and prints a JSON digest of their outputs:
 * `memo`: every bundled game played through its walkthrough, asking each
   state everything twice: two observations, identify_valid_actions on the
   default, reversed and two-word fillers with dedup off and on, every
-  probe surface executed twice on one Situation, a rejected step, the
+  template filling executed twice on one Situation, a rejected step, the
   step, and now and then a load of an earlier snapshot queried the same
   way before the walk goes on; digesting every text, surface, diff hash,
   snapshot and state_hash;
@@ -47,7 +47,17 @@ and prints a JSON digest of their outputs:
   than half of which the parser, a precondition or an effect rejects), each
   run through engine.execute with no Situation and then through env.step;
   digesting every StepResult repr and every CommandResult field: text,
-  outcome, applied, reward, diff, diff hash and the state's encoding.
+  outcome, applied, reward, diff, diff hash and the state's encoding;
+* `diffpairs`: every bundled game at seed 1 played for DIFFPAIRS_TURNS
+  explore-style turns with now and then a load of an earlier snapshot;
+  at each state, state_diff and its hash over ordered pairs of the state,
+  its probe results (children), one child's own probe result (a
+  grandchild) and a restored copy of the state: parent to child and back,
+  sibling to sibling, parent to grandchild and back, and to and from the
+  restored copy; plus each of those states' encodings under all four flag
+  combinations and its situation hash. Edited copies take the edit-set
+  path of state_diff and every other pair the full comparison, so both are
+  checked.
 
 Learner, benchmark and simulator outputs must match byte for byte. A
 random curve may differ only by the new checkout dropping a final episode
@@ -71,6 +81,7 @@ RANDOM_BUDGETS = (("tiny", 400), ("tiny", 1200), ("mail", 3000))
 SIM_SEEDS = (1, 2, 3)
 SIM_TURNS = 60
 ROLLOUT_STEPS = 300
+DIFFPAIRS_TURNS = 40
 ODD_FILLERS = ((), ("xyzzy",), ("LAMP", "Key", "box"), ("brass key", "lamp"),
                ("", "take", "north"))
 GAMEJSON_VALUES = (None, 1, -1, 0, 2 ** 40, True, 1.5, "x", "", [], [1],
@@ -139,7 +150,7 @@ def sweep(game, seed: int) -> str:
 
 def memo(game, seed: int) -> str:
     """Digest of a walkthrough whose every state is queried twice over."""
-    from textquest.engine import Situation, execute, may_edit_tree
+    from textquest.engine import Situation, execute
     from textquest.env import Environment
     from textquest.grammar import enumerate_candidates
 
@@ -165,12 +176,11 @@ def memo(game, seed: int) -> str:
                 add((valid.surfaces, valid.diff_hashes))
         ctx = Situation(env.state, game)
         for cand in enumerate_candidates(game.templates(), default):
-            if may_edit_tree(game, cand.surface):
-                for _ in range(2):
-                    r = execute(env.state, game, cand.surface, ctx)
-                    add((r.observation, r.outcome, r.applied, r.reward,
-                         r.diff, r.diff.diff_hash()))
-                    add(r.state.snapshot().data)
+            for _ in range(2):
+                r = execute(env.state, game, cand.surface, ctx)
+                add((r.observation, r.outcome, r.applied, r.reward,
+                     r.diff, r.diff.diff_hash()))
+                add(r.state.snapshot().data)
         add((env.state_hash(), env.save().data))
 
     saved = []
@@ -210,6 +220,47 @@ def rollout(game, seed: int) -> str:
         digest.update(repr(env.step(command)).encode())
         if env.done:
             env.reset(seed=seed)
+    return digest.hexdigest()
+
+
+def diffpairs(game, seed: int) -> str:
+    """Digest of state_diff over ordered pairs of related states, and of
+    their encodings, along DIFFPAIRS_TURNS turns of `game`."""
+    from textquest.engine import execute
+    from textquest.env import Environment
+    from textquest.world import state_diff
+
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+    env = Environment(game)
+    env.reset(seed=seed)
+    saved = []
+    for _ in range(DIFFPAIRS_TURNS):
+        state = env.state
+        surfaces = env.identify_valid_actions().surfaces or ("look",)
+        kids = [execute(state, game, text).state for text in surfaces[:4]]
+        grandchild = next((r.state for r in (
+            execute(kids[0], game, text) for text in surfaces)
+            if r.diff.tree), kids[0])
+        restored = env.save().restore()
+        pairs = [(state, kid) for kid in kids] + \
+            [(kid, state) for kid in kids] + list(zip(kids, kids[1:])) + \
+            [(state, grandchild), (grandchild, state), (kids[0], grandchild),
+             (state, restored), (restored, state), (restored, kids[0])]
+        for a, b in pairs:
+            diff = state_diff(a, b)
+            digest.update(repr((diff, diff.diff_hash())).encode())
+        for s in [state, *kids, grandchild, restored]:
+            for counters in (False, True):
+                for with_rng in (False, True):
+                    digest.update(s.encode(counters, with_rng))
+            digest.update(repr(s.situation_hash()).encode())
+        env.step(rng.choice(surfaces))
+        saved.append(env.save())
+        if env.done:
+            env.reset(seed=seed)
+        elif rng.random() < 0.1:
+            env.load(rng.choice(saved))
     return digest.hexdigest()
 
 
@@ -361,6 +412,7 @@ def dump(root: str) -> dict:
         out[f"snaplinks-{name}"] = snaplinks(game)
         for seed in SIM_SEEDS:
             out[f"rollout-{name}-{seed}"] = rollout(game, seed)
+        out[f"diffpairs-{name}"] = diffpairs(game, 1)
     for name, steps in RANDOM_BUDGETS:
         for seed in (1, 2):
             cfg = TrainConfig(agent="random", max_env_steps=steps)
