@@ -56,10 +56,3 @@ def linear_anneal(start: float, end: float, step: int, total: int) -> float:
     if step <= 0:
         return start
     return start + (end - start) * (step / total)
-
-
-def td_error(reward: float, gamma: float, q_next_max: float, q_value: float,
-             done: bool) -> float:
-    """One-step temporal difference; terminal states bootstrap from zero."""
-    bootstrap = 0.0 if done else gamma * q_next_max
-    return reward + bootstrap - q_value

@@ -44,8 +44,9 @@ import numpy as np
 
 from ..env import (EPISODE_STEP_CAP, VALID_CACHE_CAPACITY, Environment,
                    Handicaps, StepResult)
-from ..gamedefs import GameDef, _LruCache
+from ..gamedefs import GameDef
 from ..grammar import fill_template
+from ..records import LruCache
 from ..rng import SplitMix64
 from .models import (ModelConfig, TokenChannels, drrn_init, drrn_loss,
                      drrn_q_values, tdqn_forward, tdqn_init, tdqn_loss)
@@ -521,7 +522,7 @@ class _DrrnAgent(_Learner):
 
     def _setup(self, game: GameDef) -> None:
         count = self.cfg.env_count if self.replay is not None else 1
-        shared_cache = _LruCache(VALID_CACHE_CAPACITY)
+        shared_cache = LruCache(VALID_CACHE_CAPACITY)
         self.envs = [Environment(game, FULL_HANDICAPS,
                                  valid_action_cache=shared_cache)
                      for _ in range(count)]

@@ -658,13 +658,12 @@ def _award_score(before: WorldState, after: WorldState, game: GameDef,
                  executed_rule: str) -> list[str]:
     """Fire edge-triggered score rules; mutates `after`. Returns notices.
 
-    Triggers other than action_pattern read only the tree and the globals,
-    so have no edge while both equal `before`'s (a latch can change them)."""
+    A trigger other than action_pattern reads only the tree and the globals,
+    so a rule is skipped while both equal `before`'s (checked per rule: a
+    latch set earlier in the pass changes the globals)."""
     notices = []
     same_tree = after.tree is before.tree
-    unchanged = same_tree and after.globals == before.globals
-    rules = () if unchanged and not game.action_scored else game.score_rules
-    for idx, sr in enumerate(rules):
+    for idx, sr in enumerate(game.score_rules):
         if same_tree and sr.trigger.kind != "action_pattern" and \
                 after.globals == before.globals:
             continue

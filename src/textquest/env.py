@@ -9,15 +9,14 @@ declares which shortcuts its agent consumed.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 from . import engine
-from .gamedefs import GameDef, _LruCache
+from .gamedefs import GameDef
 from .grammar import (ActionCandidate, ParseKind, Template, Vocabulary,
                       enumerate_candidates)
-from .records import fast_init
+from .records import LruCache, fast_init
 from .world import (ObjectNode, Snapshot, SnapshotError, WorldState,
                     state_diff, universe_node)
 
@@ -56,9 +55,7 @@ class Handicaps:
                 "valid_action_detection requires load_save")
 
     def names(self) -> tuple[str, ...]:
-        return tuple(name for name in (
-            "fixed_seed", "load_save", "templates_vocab", "object_tree",
-            "valid_action_detection") if getattr(self, name))
+        return tuple(f.name for f in fields(self) if getattr(self, f.name))
 
 
 NO_HANDICAPS = Handicaps(False, False, False, False, False)
@@ -152,7 +149,7 @@ class Environment:
         self._prev_action = ""
         self._seed: int | None = None
         self._cache = valid_action_cache if valid_action_cache is not None \
-            else _LruCache(VALID_CACHE_CAPACITY)
+            else LruCache(VALID_CACHE_CAPACITY)
         self._situation: engine.Situation | None = None
 
     # -- gating ---------------------------------------------------------------
@@ -235,10 +232,6 @@ class Environment:
         self._require("load_save")
         return self._require_started().snapshot()
 
-    @cached_property
-    def _game_table(self) -> dict[int, tuple[tuple[str, ...], str]]:
-        return _static_table((universe_node(), *self.game.objects))
-
     def load(self, snapshot: Snapshot) -> None:
         """Restore a snapshot taken in this game.
 
@@ -248,7 +241,8 @@ class Environment:
         """
         self._require("load_save")
         state = snapshot.restore()
-        if _static_table(state.tree.nodes.values()) != self._game_table:
+        if _static_table(state.tree.nodes.values()) != \
+                _static_table((universe_node(), *self.game.objects)):
             raise SnapshotError(
                 f"snapshot does not belong to game {self.game.title!r}")
         self._state = state

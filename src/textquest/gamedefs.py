@@ -19,6 +19,7 @@ from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 from . import grammar as gr
+from .records import LruCache
 from .world import ATTRIBUTES, KINDS, ObjectNode, ROOT_ID
 
 FORMAT_VERSION = 1
@@ -94,26 +95,6 @@ class ScoreRule:
 Exits = dict[int, dict[str, Exit]]
 
 
-class _LruCache(dict):
-    """A dict that keeps its `capacity` most recently used entries."""
-
-    def __init__(self, capacity: int) -> None:
-        super().__init__()
-        self.capacity = capacity
-
-    def get(self, key, default=None):
-        if key not in self:
-            return default
-        self[key] = value = self.pop(key)
-        return value
-
-    def __setitem__(self, key, value) -> None:
-        self.pop(key, None)
-        super().__setitem__(key, value)
-        if len(self) > self.capacity:
-            del self[next(iter(self))]
-
-
 @dataclass(frozen=True, kw_only=True)
 class GameDef:
     """A whole game. Its fields are the top level of the JSON schema, in
@@ -153,10 +134,10 @@ class GameDef:
         return table.get((length, first)) or table.get((length, gr.SLOT), ())
 
     @cached_property
-    def probe_lists(self) -> _LruCache:
+    def probe_lists(self) -> LruCache:
         """Filler tuple -> the template fillings a valid-action sweep with
         those fillers probes; every environment of this game shares it."""
-        return _LruCache(PROBE_LISTS_CAPACITY)
+        return LruCache(PROBE_LISTS_CAPACITY)
 
     @cached_property
     def named(self) -> dict[str, tuple[ObjectNode, ...]]:
@@ -172,12 +153,6 @@ class GameDef:
             r.effect.attr if r.effect.kind in ("set-attribute",
                                                "clear-attribute")
             else touched.get(r.effect.kind) for r in self.grammar)
-
-    @cached_property
-    def action_scored(self) -> bool:
-        """Whether a score rule fires on the rule a command ran."""
-        return any(sr.trigger.kind == "action_pattern"
-                   for sr in self.score_rules)
 
     def templates(self) -> tuple[gr.Template, ...]:
         return gr.extract_templates(self.grammar)

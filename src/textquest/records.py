@@ -1,4 +1,5 @@
-"""`fast_init`, a cheaper constructor for frozen dataclasses."""
+"""Two helpers the other modules share: `fast_init`, a cheaper constructor
+for frozen dataclasses, and `LruCache`, the package's one bounded cache."""
 
 from dataclasses import MISSING, fields
 
@@ -20,3 +21,23 @@ def fast_init(cls):
     init = cls.__init__ = scope["__init__"]
     init.__annotations__ = {f.name: f.type for f in flds} | {"return": None}
     return cls
+
+
+class LruCache(dict):
+    """A dict that keeps its `capacity` most recently used entries."""
+
+    def __init__(self, capacity: int) -> None:
+        super().__init__()
+        self.capacity = capacity
+
+    def get(self, key, default=None):
+        if key not in self:
+            return default
+        self[key] = value = self.pop(key)
+        return value
+
+    def __setitem__(self, key, value) -> None:
+        self.pop(key, None)
+        super().__setitem__(key, value)
+        if len(self) > self.capacity:
+            del self[next(iter(self))]

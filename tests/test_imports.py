@@ -1,4 +1,5 @@
-"""No module under src/ imports a name it never uses."""
+"""No module under src/ imports a name it never uses, or an
+underscore-prefixed (module-private) name from another package module."""
 
 import ast
 from pathlib import Path
@@ -33,6 +34,16 @@ def unused_imports(source: str) -> list[str]:
             if name not in read]
 
 
+def private_imports(source: str) -> list[str]:
+    """Underscore-prefixed names the module imports from a module of the
+    package, by a relative or a `textquest` import."""
+    return [f"{alias.name} (line {node.lineno})"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "textquest")
+            for alias in node.names if alias.name.startswith("_")]
+
+
 def test_the_check_sees_an_unused_import():
     assert unused_imports("import os\nimport sys\nprint(sys.argv)\n") == \
         ["os (line 1)"]
@@ -44,3 +55,18 @@ def test_the_check_sees_an_unused_import():
                          ids=[str(p.relative_to(SRC)) for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_a_private_import():
+    assert private_imports("from .a import b, _c\n"
+                           "from ..d import (_e as f)\n"
+                           "from textquest.g import _h\n") == \
+        ["_c (line 1)", "_e (line 2)", "_h (line 3)"]
+    assert private_imports("from os import _exit\nimport _thread\n"
+                           "from __future__ import annotations\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES,
+                         ids=[str(p.relative_to(SRC)) for p in MODULES])
+def test_no_private_imports(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []

@@ -1,12 +1,11 @@
-"""Action-selection rules: softmax, epsilon-greedy, schedules, TD error."""
+"""Action-selection rules: softmax, epsilon-greedy, schedules."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from textquest.agents.policy import (argmax_tie_break, epsilon_greedy,
-                                     linear_anneal, softmax, softmax_select,
-                                     td_error)
+                                     linear_anneal, softmax, softmax_select)
 from textquest.rng import SplitMix64
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -139,13 +138,3 @@ def test_linear_anneal_monotone_and_bounded(step, total):
     assert 0.05 <= value <= 1.0
     later = linear_anneal(1.0, 0.05, step + 1, total)
     assert later <= value
-
-
-# -- TD error ------------------------------------------------------------------------
-
-
-def test_td_error_bootstraps_unless_done():
-    assert td_error(1.0, 0.9, 2.0, 0.5, done=False) == \
-        pytest.approx(1.0 + 1.8 - 0.5)
-    assert td_error(1.0, 0.9, 2.0, 0.5, done=True) == pytest.approx(0.5)
-    assert td_error(0.0, 0.9, 0.0, 0.0, done=False) == 0.0

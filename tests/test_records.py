@@ -1,7 +1,8 @@
 """The records built on every command keep their dataclass behaviour under
-their cheaper constructor (records.fast_init), rejected commands share one
-empty diff and one outcome per kind, and the parser returns the outcome,
-rule and precondition verdict of the eager reference."""
+their cheaper constructor (records.fast_init), records.LruCache evicts the
+least recently used entry, rejected commands share one empty diff and one
+outcome per kind, and the parser returns the outcome, rule and precondition
+verdict of the eager reference."""
 
 import dataclasses
 import inspect
@@ -16,7 +17,7 @@ from textquest.env import AugmentedObservation, StepResult, ValidActionSet
 from textquest.gamedefs import bundled_game_names, load_bundled
 from textquest.grammar import (ActionCandidate, ParseKind, ParseOutcome,
                                Template)
-from textquest.records import fast_init
+from textquest.records import LruCache, fast_init
 from textquest.world import Diff, ObjectNode, Snapshot, TreeChange
 
 GAMES = bundled_game_names()
@@ -85,6 +86,18 @@ def test_fast_init_refuses_a_default_factory():
 
     with pytest.raises(TypeError):
         fast_init(Bag)
+
+
+def test_lru_cache_evicts_the_least_recently_used():
+    cache = LruCache(2)
+    cache["a"], cache["b"] = 1, 2
+    assert cache.get("a") == 1  # "a" is now the most recent
+    cache["c"] = 3
+    assert list(cache) == ["a", "c"] and len(cache) == 2
+    assert cache.get("b") is None and cache.get("b", 0) == 0
+    cache["a"] = 4
+    cache["d"] = 5
+    assert dict(cache) == {"a": 4, "d": 5}
 
 
 @pytest.mark.parametrize("name", GAMES)

@@ -16,8 +16,8 @@ from textquest import env as env_module
 from textquest.agents import models, training
 from textquest.agents.models import (CHANNELS, ModelConfig, drrn_init,
                                      encode_memo)
-from textquest.agents.training import (TrainConfig, _LruCache, evaluate,
-                                       train)
+from textquest.agents.training import TrainConfig, evaluate, train
+from textquest.records import LruCache
 
 
 def tiny_cfg(**overrides) -> TrainConfig:
@@ -151,18 +151,6 @@ def test_target_encodings_are_made_once_per_generation(tinybox, monkeypatch,
 # -- bounded valid-action cache ----------------------------------------------------
 
 
-def test_lru_cache_evicts_the_least_recently_used():
-    cache = _LruCache(2)
-    cache["a"], cache["b"] = 1, 2
-    assert cache.get("a") == 1  # "a" is now the most recent
-    cache["c"] = 3
-    assert list(cache) == ["a", "c"] and len(cache) == 2
-    assert cache.get("b") is None and cache.get("b", 0) == 0
-    cache["a"] = 4
-    cache["d"] = 5
-    assert dict(cache) == {"a": 4, "d": 5}
-
-
 @pytest.mark.parametrize("agent", ["drrn", "tdqn"])
 def test_a_one_entry_valid_cache_trains_the_same(tinybox, monkeypatch, agent):
     envs: list = []
@@ -181,7 +169,7 @@ def test_a_one_entry_valid_cache_trains_the_same(tinybox, monkeypatch, agent):
         runs[capacity] = outputs(tinybox, train(tinybox, tiny_cfg(agent=agent),
                                                 seed=8))
         caches = [e._cache for e in envs]
-        assert all(isinstance(c, _LruCache) and c.capacity == capacity
+        assert all(isinstance(c, LruCache) and c.capacity == capacity
                    for c in caches)
         sizes = {len(c) for c in caches}
     assert max(sizes) > 1  # the default kept what capacity 1 evicted
