@@ -244,14 +244,19 @@ class Situation:
 
     Each value is computed on first use, and `results` keeps each command's
     CommandResult, so `execute` answers a repeated command with the same
-    object. The state must not change while the view is in use; `execute`
-    never changes its input state.
+    object, and `key` hashes the state once for the environment's
+    per-situation memos. The state must not change while the view is in
+    use; `execute` never changes its input state.
     """
 
     def __init__(self, state: WorldState, game: GameDef) -> None:
         self.state = state
         self.game = game
         self.results: dict[str, CommandResult] = {}
+
+    @cached_property
+    def key(self) -> int:
+        return self.state.situation_hash()
 
     @cached_property
     def visible(self) -> list[int]:

@@ -150,6 +150,7 @@ class Environment:
         self._seed: int | None = None
         self._cache = valid_action_cache if valid_action_cache is not None \
             else LruCache(VALID_CACHE_CAPACITY)
+        self._observed = LruCache(VALID_CACHE_CAPACITY)
         self._situation: engine.Situation | None = None
 
     # -- gating ---------------------------------------------------------------
@@ -272,16 +273,21 @@ class Environment:
 
         The inventory and description channels are gathered by issuing
         "inventory" and "look" against the live state, which execute never
-        changes, so the episode never sees the probe; they need load_save."""
+        changes, so the episode never sees the probe; they need load_save.
+        No effect reads the rng, the score or the moves, so both texts are
+        kept per Situation.key for the VALID_CACHE_CAPACITY situations this
+        Environment observed last, and the commands run only on a miss."""
         ctx = self._ctx()
         if self.handicaps.load_save:
-            inventory = engine.execute(ctx.state, self.game, "inventory",
-                                       ctx).observation
-            description = engine.execute(ctx.state, self.game, "look",
-                                         ctx).observation
+            texts = self._observed.get(ctx.key)
+            if texts is None:
+                texts = self._observed[ctx.key] = tuple(
+                    engine.execute(ctx.state, self.game, command,
+                                   ctx).observation
+                    for command in ("inventory", "look"))
+            inventory, description = texts
         else:
-            inventory = ""
-            description = ""
+            inventory = description = ""
         return AugmentedObservation(
             narrative=self._narrative,
             inventory=inventory,
@@ -298,10 +304,12 @@ class Environment:
         step that repeats a probe. Fillings that cannot edit the tree
         (engine.may_edit_tree) are not probed; the game keeps the list of
         fillings to probe per filler list (GameDef.probe_lists). Fillers
-        default to interactive_objects(). Results are cached per (situation,
-        fillers, dedup): validity depends on neither the move counter nor
-        the score, but diff hashes do, so a cache hit keeps the hashes of
-        the sweep that filled it (see ValidActionSet).
+        default to interactive_objects(). Results are cached per (situation
+        key, fillers, dedup), the key read from the Situation, which hashes
+        its state once for every sweep and observation of it: validity
+        depends on neither the move counter nor the score, but diff hashes
+        do, so a cache hit keeps the hashes of the sweep that filled it (see
+        ValidActionSet).
         """
         self._require("valid_action_detection")
         ctx = self._ctx()
@@ -310,7 +318,7 @@ class Environment:
             return ValidActionSet((), ())
         fillers = tuple(self.interactive_objects() if objects is None
                         else objects)
-        key = (state.situation_hash(), fillers, dedup)
+        key = (ctx.key, fillers, dedup)
         hit = self._cache.get(key)
         if hit is not None:
             return hit

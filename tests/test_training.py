@@ -1,7 +1,13 @@
 """Training harness: configs, curves, checkpoints, and the episode loop."""
 
 import dataclasses
+import hashlib
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +23,8 @@ from textquest.agents.training import (CANONICAL_ACTIONS, CHECKPOINT_VERSION,
                                        save_checkpoint, train,
                                        write_learning_curve)
 from textquest.env import Environment
+
+TESTS = Path(__file__).resolve().parent
 
 
 def tiny_cfg(**overrides) -> TrainConfig:
@@ -525,3 +533,56 @@ def test_evaluate_never_stops_early(tinybox_module, drrn_result):
     random_result = fake_result([0], cfg)
     assert len(evaluate(tinybox_module, random_result, seed=5,
                         episodes=3)) == 3
+
+
+# -- outputs that depend on the seed alone ------------------------------------------
+
+
+def seeded_digests() -> dict[str, str]:
+    """Digests of a tiny mailhouse DRRN run (curve and parameters) and of a
+    40-turn explore-style walk (observations and valid-action sets, with
+    saves, loads and revisits), all at fixed seeds."""
+    game = load_bundled("mailhouse")
+    result = train(game, tiny_cfg(max_env_steps=120), seed=11)
+    params = hashlib.blake2b(digest_size=16)
+    for key in sorted(result.params):
+        params.update(key.encode())
+        params.update(result.params[key].tobytes())
+    rng = random.Random(11)
+    env = Environment(game)
+    env.reset(seed=11)
+    observations, valid, saves = [], [], []
+    for _ in range(40):
+        if env.done:
+            env.reset(seed=11)
+        observations.append(env.observation().channels())
+        actions = env.identify_valid_actions()
+        valid.append((actions.surfaces, actions.diff_hashes))
+        env.step(rng.choice(actions.surfaces or CANONICAL_ACTIONS))
+        saves.append(env.save())
+        if rng.random() < 0.2:
+            env.load(rng.choice(saves))
+
+    def digest(value) -> str:
+        return hashlib.blake2b(repr(value).encode(),
+                               digest_size=16).hexdigest()
+
+    return {"curve": digest(result.curve_text()),
+            "params": params.hexdigest(),
+            "observations": digest(observations), "valid": digest(valid)}
+
+
+def test_outputs_do_not_depend_on_the_string_hash_seed():
+    """The per-process string hash seed must not reach a training run or an
+    observation: every process with the same seeds gives the same digests."""
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [str(TESTS.parent / "src"), str(TESTS)]))
+        run = subprocess.run(
+            [sys.executable, "-c", "import json, test_training; "
+             "print(json.dumps(test_training.seeded_digests()))"],
+            env=env, capture_output=True, text=True, timeout=60, check=True)
+        outputs.append(json.loads(run.stdout))
+    assert outputs[0] == outputs[1]

@@ -1,7 +1,8 @@
 """What a turn computes once and reuses, checked against the plain
-computations they stand for: each Situation's command results and each
-game's probe lists; and the encoding that joins each node's cached record,
-against the field-by-field reference."""
+computations they stand for: each Situation's command results and situation
+key, each Environment's observations and each game's probe lists; and the
+encoding that joins each node's cached record, against the field-by-field
+reference."""
 
 import random
 
@@ -9,9 +10,9 @@ import pytest
 
 from helpers import reference_encode
 from test_state_sharing import GAMES, ODD_FILLERS, _game
-from textquest import gamedefs
+from textquest import engine, env as env_module, gamedefs
 from textquest.engine import Situation, execute, init_state, may_edit_tree
-from textquest.env import Environment
+from textquest.env import VALID_CACHE_CAPACITY, Environment
 from textquest.gamedefs import load_bundled
 from textquest.grammar import enumerate_candidates
 from textquest.world import WorldState
@@ -124,6 +125,100 @@ def test_the_step_after_a_sweep_returns_its_probe_result():
     result = env.step(text)
     assert env.state is probed[text].state
     assert result.observation == probed[text].observation
+
+
+# -- observations kept per situation -------------------------------------------
+
+
+@pytest.mark.parametrize("capacity", [1, VALID_CACHE_CAPACITY])
+@pytest.mark.parametrize("name", GAMES + ("headbox",))
+def test_an_observation_equals_inventory_and_look_on_a_fresh_situation(
+        name, capacity, monkeypatch):
+    """Seeded walks that follow the walkthrough to its end, take random
+    detours and load earlier saves, so situations recur at other move
+    counts and scores; every observation must be the one the two commands
+    give, whether the memo holds one situation or many."""
+    monkeypatch.setattr(env_module, "VALID_CACHE_CAPACITY", capacity)
+    game = _game(name)
+    env = Environment(game)
+    rng = random.Random(5)
+    templates = list(game.templates())
+    seen: set[int] = set()
+    counts = {"revisits": 0, "ends": 0}
+
+    def observe():
+        obs = env.observation()
+        assert (obs.inventory, obs.description) == tuple(
+            execute(env.state, game, text).observation
+            for text in ("inventory", "look"))
+        assert len(env._observed) <= capacity
+        key = env.state.situation_hash()
+        counts["revisits"] += key in seen
+        counts["ends"] += env.done
+        seen.add(key)
+
+    env.reset(seed=5)
+    saves, progress = [], 0
+    for _ in range(120):
+        observe()
+        if env.done:
+            if rng.random() < 0.5:
+                env.reset(seed=5)
+                saves, progress = [], 0
+            else:
+                snapshot, progress = rng.choice(saves)
+                env.load(snapshot)
+            continue
+        saves.append((env.save(), progress))
+        roll = rng.random()
+        if roll < 0.05:
+            snapshot, progress = rng.choice(saves)
+            env.load(snapshot)
+        elif roll < 0.35:  # a detour, then back to the walk
+            surfaces = [c.surface for c in enumerate_candidates(
+                templates, env.interactive_objects())]
+            env.step(rng.choice(surfaces or ["look"]))
+            observe()
+            env.load(saves[-1][0])
+        else:
+            env.step(game.walkthrough[progress])
+            progress += 1
+    assert counts["revisits"] > 20 and counts["ends"] > 0
+
+
+def test_a_revisited_situation_is_observed_without_a_command(tinybox,
+                                                              monkeypatch):
+    env = Environment(tinybox)
+    env.reset(seed=0)
+    first = env.observation()
+    start = env.save()
+    env.step("take pebble")
+    env.step("drop pebble")  # the start's situation, one state later
+    executed = []
+    hashed = []
+
+    def execute_spy(*args):
+        executed.append(args[2])
+        return execute(*args)
+
+    def hash_spy(self):
+        hashed.append(self)
+        return situation_hash(self)
+
+    situation_hash = WorldState.situation_hash
+    monkeypatch.setattr(engine, "execute", execute_spy)
+    monkeypatch.setattr(WorldState, "situation_hash", hash_spy)
+    for revisit in (lambda: None, lambda: env.load(start)):
+        revisit()
+        executed.clear()
+        hashed.clear()
+        again = env.observation()
+        assert executed == []
+        assert again.inventory == first.inventory
+        assert again.description == first.description
+        env.identify_valid_actions()
+        env.identify_valid_actions()
+        assert len(hashed) == 1 and hashed[0] is env.state
 
 
 # -- probe lists kept per game ----------------------------------------------------

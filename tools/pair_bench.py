@@ -18,10 +18,12 @@ prints:
 * whether the gap between the medians exceeds the parent's interquartile
   range, the spread the parent shows against itself.
 
-A run that reports itself incorrect or with failed operations is listed.
-The first pair's `--out` files are saved at NEW's root as
-BENCH_<label>_parent.json and BENCH_<label>_change.json (the label defaults
-to the workload). Nothing in either checkout is changed otherwise.
+Every run's `# check` lines are kept. A run that reports itself incorrect
+or with failed operations is listed with its pair, its side and its `FAIL`
+lines, and the tool exits 1 if any run was incorrect. The first pair's
+`--out` files are saved at NEW's root as BENCH_<label>_parent.json and
+BENCH_<label>_change.json (the label defaults to the workload). Nothing in
+either checkout is changed otherwise.
 """
 
 import argparse
@@ -34,13 +36,23 @@ import tempfile
 
 
 def run_once(root: str, args: argparse.Namespace, out: str) -> dict:
+    """One run's --out result, with its `# check` lines under "checks"."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
            "--seconds", str(args.seconds), "--trace", "0", "--out", out]
     if args.seed is not None:
         cmd += ["--seed", str(args.seed)]
-    subprocess.run(cmd, cwd=root, check=True, stdout=subprocess.DEVNULL)
+    run = subprocess.run(cmd, cwd=root, check=True, stdout=subprocess.PIPE,
+                         text=True)
     with open(out, encoding="utf-8") as fh:
-        return json.load(fh)
+        result = json.load(fh)
+    result["checks"] = [line for line in run.stdout.splitlines()
+                        if line.startswith("# check ")]
+    return result
+
+
+def passed(result: dict) -> str:
+    ok = sum(line.startswith("# check ok") for line in result["checks"])
+    return f"checks ok {ok}/{len(result['checks'])}"
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -105,16 +117,19 @@ def main(argv: list[str] | None = None) -> int:
             steps = {side: result["metrics"]["env_steps_per_s"]["value"]
                      for side, result in pair.items()}
             print(f"pair {i}: first {sides[0][0]}; " + ", ".join(
-                f"{side} {steps[side]:.6g} steps/s" for side, _ in sides),
-                flush=True)
+                f"{side} {steps[side]:.6g} steps/s, {passed(pair[side])}"
+                for side, _ in sides), flush=True)
     for i, (p, c) in enumerate(runs):
         for side, result in (("parent", p), ("change", c)):
             if not result["correct"] or result["failed"]:
                 print(f"pair {i} {side}: correct={result['correct']} "
                       f"failed={result['failed']} of {result['attempted']}")
+                for line in result["checks"]:
+                    if line.startswith("# check FAIL"):
+                        print("  " + line)
     for metric in metrics:
         report(metric, runs)
-    return 0
+    return 0 if all(p["correct"] and c["correct"] for p, c in runs) else 1
 
 
 if __name__ == "__main__":
