@@ -306,9 +306,19 @@ def load_checkpoint(path: str) -> Checkpoint:
             f"checkpoint metadata lacks {', '.join(missing)}")
     if meta["agent"] not in ("drrn", "tdqn"):
         raise CheckpointError(f"unknown checkpoint agent {meta['agent']!r}")
+    bad = [key for key in ("env_steps", "updates")
+           if type(meta[key]) is not int or meta[key] < 0]
+    bad += [key for key in ("tokenizer_words", "templates", "words")
+            if type(meta[key]) is not list
+            or any(type(word) is not str for word in meta[key])]
+    if bad:  # counts must be integers >= 0, the lists lists of strings
+        raise CheckpointError(f"mistyped checkpoint {', '.join(bad)}")
     checkpoint = Checkpoint(meta=meta, params=params)
     try:
-        checkpoint.train_config()
+        max_len = meta["tokenizer_max_len"]
+        if type(max_len) is not int or \
+                max_len != checkpoint.train_config().max_len:
+            raise ValueError("tokenizer_max_len differs from max_len")
         model_cfg = checkpoint.model_config()
         vocab = checkpoint.build_tokenizer().vocab_size
         expected = _init_params(meta["agent"], np.random.default_rng(0),
@@ -522,9 +532,9 @@ class _DrrnAgent(_Learner):
 
     def _setup(self, game: GameDef) -> None:
         count = self.cfg.env_count if self.replay is not None else 1
-        shared_cache = LruCache(VALID_CACHE_CAPACITY)
+        store = LruCache(VALID_CACHE_CAPACITY)  # one per-situation store
         self.envs = [Environment(game, FULL_HANDICAPS,
-                                 valid_action_cache=shared_cache)
+                                 valid_action_cache=store)
                      for _ in range(count)]
         self.surfaces: list = [None] * count
         self.act_tokens: list = [None] * count

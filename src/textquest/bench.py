@@ -22,6 +22,7 @@ rejects reports that omit it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -164,7 +165,14 @@ class BenchReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
+
+
+def _finite(value) -> bool:
+    """A JSON number that is neither a boolean, NaN nor an infinity."""
+    return type(value) is int or (type(value) is float and
+                                  math.isfinite(value))
 
 
 def validate_report(data) -> list[str]:
@@ -191,19 +199,23 @@ def validate_report(data) -> list[str]:
         if not isinstance(handicaps, list):
             problems.append(f"{where}: handicap disclosure is mandatory "
                             "(list of handicap names, may be empty)")
-        if isinstance(row.get("max_score"), (int, float)) and \
-                row["max_score"] <= 0:
+        if "runs" in row and (type(row["runs"]) is not int or
+                              row["runs"] < 1):
+            problems.append(f"{where}: runs must be an integer of at least 1")
+        for key in ("mean_score", "std_score", "max_score"):
+            if key in row and not _finite(row[key]):
+                problems.append(f"{where}: {key} must be a number, not NaN "
+                                "or an infinity")
+        if _finite(row.get("max_score")) and row["max_score"] <= 0:
             problems.append(f"{where}: max_score must be positive")
     aggregate = data.get("aggregate")
     if not isinstance(aggregate, dict) or \
             "normalized_completion" not in aggregate:
         problems.append("aggregate.normalized_completion is required")
     else:
-        completion = aggregate["normalized_completion"]
-        if not isinstance(completion, (int, float)) or \
-                isinstance(completion, bool):
+        if not _finite(aggregate["normalized_completion"]):
             problems.append("aggregate.normalized_completion must be a "
-                            "number")
+                            "number, not NaN or an infinity")
         if aggregate.get("negatives") not in NEGATIVE_MODES:
             problems.append(f"aggregate.negatives must be one of "
                             f"{NEGATIVE_MODES}")
@@ -214,6 +226,8 @@ def run_benchmark(games: dict[str, GameDef], seed: int, episodes: int = 10,
                   step_cap: int = EPISODE_STEP_CAP,
                   negatives: str = "clip") -> BenchReport:
     """Random-agent benchmark over the given games (the baseline floor)."""
+    if episodes < 1:
+        raise ValueError(f"episodes must be at least 1, got {episodes}")
     rows = []
     for offset, (name, game) in enumerate(sorted(games.items())):
         records = run_random(game, seed + offset, episodes=episodes,

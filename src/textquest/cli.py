@@ -46,6 +46,18 @@ def _load_any_game(spec: str):
         raise _InputError(f"cannot load game '{spec}': {exc}") from exc
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _pick_seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -134,7 +146,7 @@ def _build_config(args) -> TrainConfig:
     if args.config:
         try:
             cfg = TrainConfig.from_json(args.config)
-        except (OSError, ValueError, json.JSONDecodeError, TypeError) as exc:
+        except (OSError, ValueError, TypeError, RecursionError) as exc:
             raise _InputError(f"bad config file: {exc}") from exc
     else:
         cfg = TrainConfig()
@@ -264,7 +276,7 @@ def _cmd_bench(args) -> int:
         try:
             with open(args.check, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise _InputError(f"cannot read report: {exc}") from exc
         problems = validate_report(data)
         if problems:
@@ -330,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a saved checkpoint")
     p.add_argument("game")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--episodes", type=int, default=10)
+    p.add_argument("--episodes", type=_positive_int, default=10)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_eval)
 
@@ -349,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="random-agent benchmark report (JSON)")
     p.add_argument("--games", help="comma-separated names (default: all)")
-    p.add_argument("--episodes", type=int, default=10)
+    p.add_argument("--episodes", type=_positive_int, default=10)
     p.add_argument("--seed", type=int)
     p.add_argument("--negatives", choices=("clip", "raw"), default="clip")
     p.add_argument("--out", help="write the JSON report here")

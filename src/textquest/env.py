@@ -22,9 +22,9 @@ from .world import (ObjectNode, Snapshot, SnapshotError, WorldState,
 
 EPISODE_STEP_CAP = 100  # valid steps per episode under the benchmark protocol
 
-# Entries a default valid-action cache keeps, least recently used going
-# first; about 0.9 KB each. Only sparsereward DRRN outgrows it by 20k steps.
-VALID_CACHE_CAPACITY = 4096
+# Entries a default per-situation store keeps, least recently used going
+# first: valid-action sets and observation texts together.
+VALID_CACHE_CAPACITY = 8192
 
 
 class CapabilityError(Exception):
@@ -141,6 +141,9 @@ class Environment:
 
     def __init__(self, game: GameDef, handicaps: Handicaps = Handicaps(),
                  valid_action_cache: dict | None = None) -> None:
+        """valid_action_cache is the environment's per-situation store, of
+        one game, which environments may share; by default a new
+        LruCache(VALID_CACHE_CAPACITY)."""
         self.game = game
         self.handicaps = handicaps
         self._templates = game.templates()
@@ -150,7 +153,6 @@ class Environment:
         self._seed: int | None = None
         self._cache = valid_action_cache if valid_action_cache is not None \
             else LruCache(VALID_CACHE_CAPACITY)
-        self._observed = LruCache(VALID_CACHE_CAPACITY)
         self._situation: engine.Situation | None = None
 
     # -- gating ---------------------------------------------------------------
@@ -271,17 +273,16 @@ class Environment:
     def observation(self) -> AugmentedObservation:
         """Current four-channel observation.
 
-        The inventory and description channels are gathered by issuing
-        "inventory" and "look" against the live state, which execute never
-        changes, so the episode never sees the probe; they need load_save.
-        No effect reads the rng, the score or the moves, so both texts are
-        kept per Situation.key for the VALID_CACHE_CAPACITY situations this
-        Environment observed last, and the commands run only on a miss."""
+        The inventory and description channels are the texts of
+        "inventory" and "look" run against the live state, which execute
+        never changes; they need load_save. No effect reads the rng, the
+        score or the moves, so the per-situation store keeps both texts
+        under the integer Situation.key and the commands run on a miss."""
         ctx = self._ctx()
         if self.handicaps.load_save:
-            texts = self._observed.get(ctx.key)
+            texts = self._cache.get(ctx.key)
             if texts is None:
-                texts = self._observed[ctx.key] = tuple(
+                texts = self._cache[ctx.key] = tuple(
                     engine.execute(ctx.state, self.game, command,
                                    ctx).observation
                     for command in ("inventory", "look"))
@@ -304,11 +305,10 @@ class Environment:
         step that repeats a probe. Fillings that cannot edit the tree
         (engine.may_edit_tree) are not probed; the game keeps the list of
         fillings to probe per filler list (GameDef.probe_lists). Fillers
-        default to interactive_objects(). Results are cached per (situation
-        key, fillers, dedup), the key read from the Situation, which hashes
-        its state once for every sweep and observation of it: validity
+        default to interactive_objects(). The per-situation store keeps
+        results under the tuple (Situation.key, fillers, dedup): validity
         depends on neither the move counter nor the score, but diff hashes
-        do, so a cache hit keeps the hashes of the sweep that filled it (see
+        do, so a hit keeps the hashes of the sweep that filled it (see
         ValidActionSet).
         """
         self._require("valid_action_detection")

@@ -205,13 +205,20 @@ def _schema(cls) -> tuple[frozenset[str], tuple[_Field, ...]]:
 
 
 def _typed(value, want: type, path: str, nullable: bool = False):
-    """`value` if it has JSON type `want` (a bool is not an integer)."""
+    """`value` if it has JSON type `want` (a bool is not an integer, and a
+    string must encode as UTF-8: JSON can escape a lone surrogate)."""
     if value is None and nullable:
         return None
     if not isinstance(value, want) or (want is int and
                                        isinstance(value, bool)):
         raise GameFileError(f"{path}: expected {_JSON_TYPE[want]}, "
                             f"got {type(value).__name__}")
+    if want is str:
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise GameFileError(f"{path}: text with a lone surrogate is "
+                                "not UTF-8") from None
     return value
 
 
@@ -259,7 +266,8 @@ def _decode_exits(data, path: str) -> Exits:
                 from None
         if str(room) != room_key:  # "01" and "+1" would name room 1 too
             raise GameFileError(f"{at}: room key must be written {room}")
-        exits[room] = {direction: _decode_exit(v, f"{at}.{direction}")
+        exits[room] = {_typed(direction, str, at):
+                       _decode_exit(v, f"{at}.{direction}")
                        for direction, v in _typed(table, dict, at).items()}
     return exits
 
@@ -332,6 +340,8 @@ def load_game(path: str | Path) -> GameDef:
     except json.JSONDecodeError as err:
         raise GameFileError(
             f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
+    except RecursionError as err:
+        raise GameFileError(f"{path}: JSON nested too deeply") from err
     if not isinstance(data, dict):
         raise GameFileError(f"{path}: top level must be a JSON object")
     return parse_game(data, source=str(path))

@@ -161,6 +161,41 @@ def test_validate_report_catches_problems():
     assert any("max_score must be positive" in p for p in problems)
 
 
+@pytest.mark.parametrize("where, value, message", [
+    ("mean_score", "3", "mean_score must be a number"),
+    ("std_score", None, "std_score must be a number"),
+    ("mean_score", float("nan"), "mean_score must be a number"),
+    ("max_score", float("inf"), "max_score must be a number"),
+    ("mean_score", True, "mean_score must be a number"),
+    ("runs", "10", "runs must be an integer of at least 1"),
+    ("runs", 0, "runs must be an integer of at least 1"),
+    ("runs", 2.0, "runs must be an integer of at least 1"),
+    ("normalized_completion", float("inf"),
+     "normalized_completion must be a number"),
+    ("normalized_completion", float("nan"),
+     "normalized_completion must be a number")])
+def test_validate_report_requires_finite_numbers(where, value, message):
+    data = make_report().to_dict()
+    target = data["aggregate"] if where == "normalized_completion" \
+        else data["rows"][0]
+    target[where] = value
+    assert [p for p in validate_report(data) if message in p]
+
+
+def test_validate_report_accepts_a_large_integer_score():
+    data = make_report().to_dict()
+    data["rows"][0]["mean_score"] = 10 ** 400  # no float holds it
+    assert validate_report(data) == []
+
+
+def test_report_json_refuses_nan():
+    report = make_report()
+    nan_row = BenchRow(game="g", agent="random", handicaps=(), runs=1,
+                       mean_score=float("nan"), std_score=0.0, max_score=1)
+    with pytest.raises(ValueError):
+        BenchReport(rows=report.rows + (nan_row,)).to_json()
+
+
 def test_validate_report_missing_rows_and_aggregate():
     problems = validate_report({"version": 1})
     assert any("rows must be a non-empty list" in p for p in problems)
@@ -192,6 +227,12 @@ def test_run_benchmark_rows(bundled):
         assert row.std_score >= 0.0
     assert report.protocol == {"seed": 17, "episodes": 4, "step_cap": 100}
     assert validate_report(report.to_dict()) == []
+
+
+@pytest.mark.parametrize("episodes", [0, -2])
+def test_run_benchmark_needs_an_episode(bundled, episodes):
+    with pytest.raises(ValueError, match="episodes must be at least 1"):
+        run_benchmark(bundled, seed=1, episodes=episodes)
 
 
 def test_run_benchmark_deterministic(bundled):

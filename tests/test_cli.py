@@ -309,6 +309,66 @@ def test_bench_check_malformed_report(tmp_path, capsys, content, message):
     assert message in capsys.readouterr().err.splitlines()[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench", "--episodes", "0"], ["bench", "--episodes", "-3"],
+    ["bench", "--episodes", "two"], ["eval", "x", "--checkpoint", "c",
+                                     "--episodes", "0"]])
+def test_episode_counts_must_be_positive(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--seed", "1"])
+    assert exit_info.value.code == INPUT_ERROR
+    assert "--episodes: must be a positive integer" in \
+        capsys.readouterr().err
+
+
+def test_bench_check_rejects_nan(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    assert main(["bench", "--games", "brasskey", "--episodes", "1",
+                 "--seed", "3", "--out", str(path)]) == OK
+    capsys.readouterr()
+    data = json.loads(path.read_text("utf-8"))
+    data["aggregate"]["normalized_completion"] = float("nan")
+    path.write_text(json.dumps(data), encoding="utf-8")  # writes NaN
+    assert main(["bench", "--check", str(path)]) == INPUT_ERROR
+    assert "normalized_completion must be a number" in \
+        capsys.readouterr().err
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def test_bench_check_rejects_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON, encoding="utf-8")
+    assert main(["bench", "--check", str(path)]) == INPUT_ERROR
+    assert "cannot read report" in capsys.readouterr().err
+
+
+def test_train_rejects_deeply_nested_config(tinybox_path, tmp_path, capsys):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(DEEP_JSON, encoding="utf-8")
+    assert main(["train", tinybox_path, "--config", str(cfg),
+                 "--seed", "1"]) == INPUT_ERROR
+    assert "bad config file" in capsys.readouterr().err
+
+
+def test_verify_rejects_deeply_nested_game_file(tmp_path, capsys):
+    path = tmp_path / "deep.game.json"
+    path.write_text(DEEP_JSON, encoding="utf-8")
+    assert main(["verify", str(path)]) == INPUT_ERROR
+    assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_verify_rejects_a_lone_surrogate(tmp_path, capsys):
+    data = tinybox_dict()
+    data["objects"][0]["text"] = "bad \udc80 text"
+    path = tmp_path / "surrogate.game.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["verify", str(path)]) == INPUT_ERROR
+    assert "objects[0].text: text with a lone surrogate" in \
+        capsys.readouterr().err
+
+
 def test_bench_prints_json_to_stdout(capsys):
     rc = main(["bench", "--games", "brasskey", "--episodes", "1",
                "--seed", "3"])

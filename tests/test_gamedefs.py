@@ -68,6 +68,28 @@ def test_load_game_rejects_non_utf8_bytes(tmp_path):
         load_game(path)
 
 
+def test_load_game_rejects_deeply_nested_json(tmp_path):
+    path = tmp_path / "deep.game.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(GameFileError, match="nested too deeply"):
+        load_game(path)
+
+
+@pytest.mark.parametrize("where", ["objects[0].text", "exits[1]"])
+def test_load_game_rejects_a_lone_surrogate(tmp_path, tinybox_data, where):
+    data = copy.deepcopy(tinybox_data)
+    if where == "exits[1]":
+        data["exits"] = {"1": {"bad \udc80": 1}}
+    else:
+        data["objects"][0]["text"] = "bad \udc80 text"
+    path = tmp_path / "surrogate.game.json"
+    path.write_text(json.dumps(data))  # escaped as \udc80 in the file
+    assert "\\udc80" in path.read_text()
+    with pytest.raises(GameFileError,
+                       match=re.escape(f".{where}: text with a lone")):
+        load_game(path)
+
+
 def test_load_game_rejects_non_object(tmp_path):
     path = tmp_path / "list.game.json"
     path.write_text("[1, 2, 3]\n")

@@ -312,6 +312,31 @@ def test_checkpoint_rejects_out_of_range_train_config(drrn_result, tmp_path,
         load_checkpoint(str(bad))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("tokenizer_max_len", "x", "differs from max_len"),
+    ("tokenizer_max_len", 2.5, "differs from max_len"),
+    ("tokenizer_max_len", -5, "differs from max_len"),
+    ("tokenizer_max_len", 17, "differs from max_len"),
+    ("tokenizer_max_len", 16.0, "differs from max_len"),
+    ("env_steps", 1.5, "mistyped checkpoint env_steps"),
+    ("env_steps", -1, "mistyped checkpoint env_steps"),
+    ("env_steps", True, "mistyped checkpoint env_steps"),
+    ("updates", "3", "mistyped checkpoint updates"),
+    ("updates", None, "mistyped checkpoint updates"),
+    ("templates", "look", "mistyped checkpoint templates"),
+    ("words", ["box", 1], "mistyped checkpoint words"),
+    ("tokenizer_words", "abc", "mistyped checkpoint tokenizer_words")])
+def test_checkpoint_rejects_mistyped_metadata(drrn_result, tmp_path, field,
+                                              value, message):
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(str(path), drrn_result)
+    assert load_checkpoint(str(path)).meta["tokenizer_max_len"] == 16
+    bad = tmp_path / "bad.npz"
+    rewrite_checkpoint(path, bad, lambda meta: meta.update({field: value}))
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(str(bad))
+
+
 @pytest.mark.parametrize("field, value", [("env_count", 0), ("step_cap", 0),
                                           ("batch_size", 0),
                                           ("rolling_window", -3),

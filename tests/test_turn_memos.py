@@ -1,8 +1,8 @@
 """What a turn computes once and reuses, checked against the plain
 computations they stand for: each Situation's command results and situation
-key, each Environment's observations and each game's probe lists; and the
-encoding that joins each node's cached record, against the field-by-field
-reference."""
+key, the observations in each Environment's per-situation store (which
+environments may share) and each game's probe lists; and the encoding that
+joins each node's cached record, against the field-by-field reference."""
 
 import random
 
@@ -10,11 +10,14 @@ import pytest
 
 from helpers import reference_encode
 from test_state_sharing import GAMES, ODD_FILLERS, _game
+from test_target_memo import tiny_cfg
 from textquest import engine, env as env_module, gamedefs
+from textquest.agents import training
 from textquest.engine import Situation, execute, init_state, may_edit_tree
 from textquest.env import VALID_CACHE_CAPACITY, Environment
 from textquest.gamedefs import load_bundled
 from textquest.grammar import enumerate_candidates
+from textquest.records import LruCache
 from textquest.world import WorldState
 
 
@@ -151,7 +154,7 @@ def test_an_observation_equals_inventory_and_look_on_a_fresh_situation(
         assert (obs.inventory, obs.description) == tuple(
             execute(env.state, game, text).observation
             for text in ("inventory", "look"))
-        assert len(env._observed) <= capacity
+        assert len(env._cache) <= capacity
         key = env.state.situation_hash()
         counts["revisits"] += key in seen
         counts["ends"] += env.done
@@ -219,6 +222,55 @@ def test_a_revisited_situation_is_observed_without_a_command(tinybox,
         env.identify_valid_actions()
         env.identify_valid_actions()
         assert len(hashed) == 1 and hashed[0] is env.state
+
+
+def test_environments_sharing_a_store_share_observations(tinybox,
+                                                         monkeypatch):
+    """A situation one environment observed is observed by another over the
+    same store without a command, and DRRN's environments share one store."""
+    game = load_bundled("mailhouse")
+    store = LruCache(VALID_CACHE_CAPACITY)
+    first, second = (Environment(game, valid_action_cache=store)
+                     for _ in range(2))
+    first.reset(seed=1)
+    saves = []
+    for command in game.walkthrough[:12]:
+        first.observation()
+        first.identify_valid_actions()
+        saves.append(first.save())
+        first.step(command)
+    second.reset(seed=2)
+    executed = []
+
+    def execute_spy(*args):
+        executed.append(args[2])
+        return execute(*args)
+
+    for snapshot in saves:
+        second.load(snapshot)
+        monkeypatch.setattr(engine, "execute", execute_spy)
+        obs = second.observation()
+        second.identify_valid_actions()
+        monkeypatch.undo()
+        assert executed == []
+        state = second.state
+        ctx = Situation(state, game)
+        assert (obs.inventory, obs.description) == tuple(
+            execute(state, game, text, ctx).observation
+            for text in ("inventory", "look"))
+    assert len(store) > len(saves)  # observations and sweeps, one store
+
+    envs = []
+    real_env = training.Environment
+
+    def spy_env(*args, **kwargs):
+        envs.append(real_env(*args, **kwargs))
+        return envs[-1]
+
+    monkeypatch.setattr(training, "Environment", spy_env)
+    training.train(tinybox, tiny_cfg(max_env_steps=100), seed=3)
+    assert len(envs) == tiny_cfg().env_count > 1
+    assert all(env._cache is envs[0]._cache for env in envs)
 
 
 # -- probe lists kept per game ----------------------------------------------------

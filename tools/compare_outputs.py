@@ -57,7 +57,15 @@ and prints a JSON digest of their outputs:
   restored copy; plus each of those states' encodings under all four flag
   combinations and its situation hash. Edited copies take the edit-set
   path of state_diff and every other pair the full comparison, so both are
-  checked.
+  checked;
+* `shared`: every bundled game played by two and by three Environments
+  over one per-situation store (an unbounded dict, and an LruCache of
+  SHARED_CAPACITY entries), taking turns at random for SHARED_TURNS
+  turns: each turn observes, detects valid actions and follows the
+  walkthrough, takes a random detour and returns, or loads a snapshot any
+  of them saved; digesting every observation, valid-action surface and
+  step result, so that a store answering one environment from another's
+  state shows up as a differing digest.
 
 Learner, benchmark and simulator outputs must match byte for byte. A
 random curve may differ only by the new checkout dropping a final episode
@@ -82,6 +90,8 @@ SIM_SEEDS = (1, 2, 3)
 SIM_TURNS = 60
 ROLLOUT_STEPS = 300
 DIFFPAIRS_TURNS = 40
+SHARED_TURNS = 300
+SHARED_CAPACITY = 5
 ODD_FILLERS = ((), ("xyzzy",), ("LAMP", "Key", "box"), ("brass key", "lamp"),
                ("", "take", "north"))
 GAMEJSON_VALUES = (None, 1, -1, 0, 2 ** 40, True, 1.5, "x", "", [], [1],
@@ -264,6 +274,49 @@ def diffpairs(game, seed: int) -> str:
     return digest.hexdigest()
 
 
+def shared(game, count: int) -> str:
+    """Digest of `count` Environments of `game` that share one store."""
+    from textquest.env import Environment
+    from textquest.grammar import enumerate_candidates
+    from textquest.records import LruCache
+
+    rng = random.Random(count)
+    digest = hashlib.sha256()
+
+    def add(value) -> None:
+        digest.update(repr(value).encode())
+
+    templates = game.templates()
+    for store in ({}, LruCache(SHARED_CAPACITY)):
+        envs = [Environment(game, valid_action_cache=store)
+                for _ in range(count)]
+        progress = [0] * count
+        saves = []  # (snapshot, walkthrough progress), from every env
+        for i, env in enumerate(envs):
+            add(env.reset(seed=count + i)[0])
+        for _ in range(SHARED_TURNS):
+            i = rng.randrange(count)
+            env = envs[i]
+            add((i, env.observation(), env.identify_valid_actions().surfaces))
+            roll = rng.random()
+            if env.done or (saves and roll < 0.15):
+                snapshot, progress[i] = rng.choice(saves)
+                env.load(snapshot)
+            elif roll < 0.45:  # a detour, then back to the walk
+                here = env.save()
+                surfaces = [c.surface for c in enumerate_candidates(
+                    templates, env.interactive_objects())]
+                add(env.step(rng.choice(surfaces or ["look"])))
+                add((env.observation(),
+                     env.identify_valid_actions(dedup=True).surfaces))
+                env.load(here)
+            else:
+                add(env.step(game.walkthrough[progress[i]]))
+                progress[i] += 1
+                saves.append((env.save(), progress[i]))
+    return digest.hexdigest()
+
+
 def _json_paths(node, prefix=()):
     items = node.items() if isinstance(node, dict) else \
         enumerate(node) if isinstance(node, list) else ()
@@ -413,6 +466,8 @@ def dump(root: str) -> dict:
         for seed in SIM_SEEDS:
             out[f"rollout-{name}-{seed}"] = rollout(game, seed)
         out[f"diffpairs-{name}"] = diffpairs(game, 1)
+        for count in (2, 3):
+            out[f"shared-{name}-{count}"] = shared(game, count)
     for name, steps in RANDOM_BUDGETS:
         for seed in (1, 2):
             cfg = TrainConfig(agent="random", max_env_steps=steps)
