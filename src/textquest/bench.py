@@ -195,10 +195,15 @@ def validate_report(data) -> list[str]:
                     "max_score"):
             if key not in row:
                 problems.append(f"{where}: missing '{key}'")
+        for key in ("game", "agent"):
+            if key in row and type(row[key]) is not str:
+                problems.append(f"{where}: {key} must be a string")
         handicaps = row.get("handicaps")
         if not isinstance(handicaps, list):
             problems.append(f"{where}: handicap disclosure is mandatory "
                             "(list of handicap names, may be empty)")
+        elif any(type(name) is not str for name in handicaps):
+            problems.append(f"{where}: each handicap must be a string")
         if "runs" in row and (type(row["runs"]) is not int or
                               row["runs"] < 1):
             problems.append(f"{where}: runs must be an integer of at least 1")
@@ -208,6 +213,8 @@ def validate_report(data) -> list[str]:
                                 "or an infinity")
         if _finite(row.get("max_score")) and row["max_score"] <= 0:
             problems.append(f"{where}: max_score must be positive")
+        if _finite(row.get("std_score")) and row["std_score"] < 0:
+            problems.append(f"{where}: std_score must not be negative")
     aggregate = data.get("aggregate")
     if not isinstance(aggregate, dict) or \
             "normalized_completion" not in aggregate:

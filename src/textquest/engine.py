@@ -258,6 +258,11 @@ class Situation:
     def key(self) -> int:
         return self.state.situation_hash()
 
+    @property
+    def keyed(self) -> bool:
+        """Whether `key` is computed already, so reading it costs nothing."""
+        return "key" in self.__dict__
+
     @cached_property
     def visible(self) -> list[int]:
         return visible_objects(self.state, self.game)

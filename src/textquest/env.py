@@ -10,20 +10,26 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, fields
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import engine
 from .gamedefs import GameDef
 from .grammar import (ActionCandidate, ParseKind, Template, Vocabulary,
                       enumerate_candidates)
 from .records import LruCache, fast_init
-from .world import (ObjectNode, Snapshot, SnapshotError, WorldState,
-                    state_diff, universe_node)
+from .world import (ObjectNode, Snapshot, SnapshotError, WorldObjectTree,
+                    WorldState, state_diff, universe_node)
 
 EPISODE_STEP_CAP = 100  # valid steps per episode under the benchmark protocol
 
 # Entries a default per-situation store keeps, least recently used going
-# first: valid-action sets and observation texts together.
+# first: valid-action sets, and each observed situation's command records
+# (see Environment.__init__). The game bounds a situation's records: the two
+# observation commands and at most one per command that resolves there. A
+# record takes about 0.3 KB, or about 3 KB when it keeps the tree it changed,
+# so a full store holds far more than its entry count suggests (README).
+# A step served from a record equals execute on the live state, byte for
+# byte.
 VALID_CACHE_CAPACITY = 8192
 
 
@@ -110,6 +116,44 @@ class ValidActionSet:
         return iter(self.candidates)
 
 
+class Recorded(NamedTuple):
+    """What one command does at a situation, as the per-situation store
+    keeps it: the text, the parse kind, whether it applied, the reward, and
+    the tree and globals (each None where the command left it as it was)
+    and done it leaves. No effect, score rule or text reads the rng, the
+    score or the moves, so it holds at every state of the situation."""
+
+    text: str
+    kind: ParseKind
+    applied: bool
+    reward: int
+    tree: WorldObjectTree | None
+    globals: dict[str, int] | None
+    done: bool
+
+    @classmethod
+    def of(cls, result: engine.CommandResult, state: WorldState) -> Recorded:
+        """The record of `result`, which execute returned for `state`."""
+        after = result.state
+        return cls(result.observation, result.outcome.kind, result.applied,
+                   result.reward, after.tree if result.diff.tree else None,
+                   None if after.globals == state.globals else after.globals,
+                   after.done)
+
+    def at(self, state: WorldState) -> WorldState:
+        """The state this command leaves when run on `state`, a state of
+        the recorded situation: the recorded tree (shared, read-only),
+        globals and done, the score plus the reward, the moves plus one and
+        a copy of the rng; `state` itself if the command was rejected."""
+        if not self.applied:
+            return state
+        return WorldState(
+            state.tree if self.tree is None else self.tree,
+            dict(state.globals if self.globals is None else self.globals),
+            state.score + self.reward, state.moves + 1, self.done,
+            state.rng.copy())
+
+
 def world_changed(before: WorldState, after: WorldState) -> bool:
     """Tree-channel detector: reparents and attribute flips only.
 
@@ -143,7 +187,13 @@ class Environment:
                  valid_action_cache: dict | None = None) -> None:
         """valid_action_cache is the environment's per-situation store, of
         one game, which environments may share; by default a new
-        LruCache(VALID_CACHE_CAPACITY)."""
+        LruCache(VALID_CACHE_CAPACITY). It keys everything by
+        Situation.key: a valid-action set under (key, fillers, dedup), and
+        under the integer key of each observed situation a dict of its
+        command Records by command text. observation() opens that dict and
+        records its two commands; a sweep adds its tree-changing probes and
+        step() each command that resolves. A step served from a record
+        equals execute on the live state, byte for byte."""
         self.game = game
         self.handicaps = handicaps
         self._templates = game.templates()
@@ -196,16 +246,42 @@ class Environment:
         return self.observation(), info
 
     def step(self, text: str) -> StepResult:
+        """Run `text` on the live state.
+
+        At a situation whose key an observation or a sweep has computed, a
+        command the live Situation has not run is answered from the
+        per-situation store's record of it, if there is one (Recorded.at),
+        and a command run afresh that resolves is recorded. A served step
+        equals execute on the live state, byte for byte: the same
+        StepResult and the same state encoding, rng and counters included.
+        A state with no key (no observation with load_save, no sweep) is
+        never hashed for this.
+        """
         state = self._require_started()
         if state.done:
             raise EpisodeDoneError("the episode has ended; call reset()")
-        result = engine.execute(state, self.game, text, self._ctx())
-        self._state = after = result.state
-        self._narrative = result.observation
+        ctx = self._ctx()
+        records = self._cache.get(ctx.key) if ctx.keyed else None
+        rec = None if records is None or text in ctx.results \
+            else records.get(text)
+        if rec is None:
+            result = engine.execute(state, self.game, text, ctx)
+            kind = result.outcome.kind
+            if records is not None and kind is ParseKind.RESOLVED and \
+                    text not in records:
+                records[text] = Recorded.of(result, state)
+            after, observation, reward, changed = (
+                result.state, result.observation, result.reward,
+                bool(result.diff.tree))
+        else:
+            after, observation, reward, kind, changed = (
+                rec.at(state), rec.text, rec.reward, rec.kind,
+                rec.tree is not None)
+        self._state = after
+        self._narrative = observation
         self._prev_action = text
-        return StepResult(result.observation, result.reward, after.score,
-                          after.done, after.moves, result.outcome.kind,
-                          bool(result.diff.tree))
+        return StepResult(observation, reward, after.score, after.done,
+                          after.moves, kind, changed)
 
     # -- state access -------------------------------------------------------------
 
@@ -275,18 +351,21 @@ class Environment:
 
         The inventory and description channels are the texts of
         "inventory" and "look" run against the live state, which execute
-        never changes; they need load_save. No effect reads the rng, the
-        score or the moves, so the per-situation store keeps both texts
-        under the integer Situation.key and the commands run on a miss."""
+        never changes; they need load_save. They are read from the
+        situation's records in the per-situation store (opened here under
+        the integer Situation.key), and each command runs only where its
+        record is missing."""
         ctx = self._ctx()
         if self.handicaps.load_save:
-            texts = self._cache.get(ctx.key)
-            if texts is None:
-                texts = self._cache[ctx.key] = tuple(
-                    engine.execute(ctx.state, self.game, command,
-                                   ctx).observation
-                    for command in ("inventory", "look"))
-            inventory, description = texts
+            records = self._cache.get(ctx.key)
+            if records is None:
+                records = self._cache[ctx.key] = {}
+            for command in ("inventory", "look"):
+                if command not in records:
+                    records[command] = Recorded.of(engine.execute(
+                        ctx.state, self.game, command, ctx), ctx.state)
+            inventory = records["inventory"].text
+            description = records["look"].text
         else:
             inventory = description = ""
         return AugmentedObservation(
@@ -309,7 +388,11 @@ class Environment:
         results under the tuple (Situation.key, fillers, dedup): validity
         depends on neither the move counter nor the score, but diff hashes
         do, so a hit keeps the hashes of the sweep that filled it (see
-        ValidActionSet).
+        ValidActionSet). A miss also records each probe that changed the
+        tree in the situation's records, where the store holds them (adding
+        to them is not a use of that entry), so a later step of it at this
+        situation is served from the record: a served step equals execute
+        on the live state, byte for byte.
         """
         self._require("valid_action_detection")
         ctx = self._ctx()
@@ -331,10 +414,13 @@ class Environment:
         kept: list[ActionCandidate] = []
         hashes: list[int] = []
         seen_diffs: dict[int, str] = {}
+        records = dict.get(self._cache, ctx.key)  # not LruCache.get: no use
         for cand in probes:
             result = engine.execute(state, self.game, cand.surface, ctx)
             if not result.diff.tree:
                 continue
+            if records is not None and cand.surface not in records:
+                records[cand.surface] = Recorded.of(result, state)
             dh = result.diff.diff_hash()
             if dedup:
                 if dh in seen_diffs:

@@ -182,6 +182,30 @@ def test_validate_report_requires_finite_numbers(where, value, message):
     assert [p for p in validate_report(data) if message in p]
 
 
+@pytest.mark.parametrize("where, value, message", [
+    ("game", 5, "game must be a string"),
+    ("game", None, "game must be a string"),
+    ("agent", None, "agent must be a string"),
+    ("agent", ["random"], "agent must be a string"),
+    ("handicaps", [1, {}], "each handicap must be a string"),
+    ("handicaps", ["load_save", None], "each handicap must be a string"),
+    ("std_score", -3, "std_score must not be negative"),
+    ("std_score", -0.5, "std_score must not be negative")])
+def test_validate_report_checks_row_types_and_signs(where, value, message):
+    data = make_report().to_dict()
+    data["rows"][0][where] = value
+    assert [p for p in validate_report(data) if message in p]
+
+
+def test_validate_report_refuses_a_row_of_wrong_types():
+    """One row that got past every check before: no field was typed."""
+    data = make_report().to_dict()
+    data["rows"][0] = {"game": 5, "agent": None, "handicaps": [1, {}],
+                       "runs": 1, "mean_score": 0, "std_score": -3,
+                       "max_score": 1}
+    assert len(validate_report(data)) == 4
+
+
 def test_validate_report_accepts_a_large_integer_score():
     data = make_report().to_dict()
     data["rows"][0]["mean_score"] = 10 ** 400  # no float holds it

@@ -1,8 +1,9 @@
 """What a turn computes once and reuses, checked against the plain
 computations they stand for: each Situation's command results and situation
-key, the observations in each Environment's per-situation store (which
-environments may share) and each game's probe lists; and the encoding that
-joins each node's cached record, against the field-by-field reference."""
+key, the observations and steps each Environment answers from the command
+records of its per-situation store (which environments may share) and each
+game's probe lists; and the encoding that joins each node's cached record,
+against the field-by-field reference."""
 
 import random
 
@@ -14,7 +15,7 @@ from test_target_memo import tiny_cfg
 from textquest import engine, env as env_module, gamedefs
 from textquest.agents import training
 from textquest.engine import Situation, execute, init_state, may_edit_tree
-from textquest.env import VALID_CACHE_CAPACITY, Environment
+from textquest.env import VALID_CACHE_CAPACITY, Environment, StepResult
 from textquest.gamedefs import load_bundled
 from textquest.grammar import enumerate_candidates
 from textquest.records import LruCache
@@ -305,3 +306,119 @@ def test_probe_lists_match_enumeration_and_stay_bounded(name, monkeypatch):
     assert len(keys) > 3  # so entries were evicted and built again
     # both environments of the game share one memo
     assert envs[0].game.probe_lists is envs[1].game.probe_lists
+
+
+# -- steps served from the per-situation store -------------------------------------
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("make_store", [dict, lambda: LruCache(5)],
+                         ids=["dict", "lru5"])
+def test_a_served_step_equals_execute_on_the_live_state(count, make_store,
+                                                        monkeypatch):
+    """Every bundled game played by `count` environments over one store:
+    the walkthrough, detours that step a command, load back, "look" (the
+    same situation one move on) and step the command again, loads of any
+    environment's earlier snapshots and resets with other seeds. Every step
+    must give the StepResult and state encoding, rng and counters included,
+    that execute gives on the live state with no Situation; the served
+    steps must include rejected, emit-text and set-global commands, a score
+    rule that fires and one that ends the game."""
+    served = []
+    real_at = env_module.Recorded.at
+
+    def at_spy(rec, state):
+        served.append(rec)
+        return real_at(rec, state)
+
+    monkeypatch.setattr(env_module.Recorded, "at", at_spy)
+    covered = set()
+
+    def step(env, text):
+        fresh = execute(env.state, env.game, text)
+        after = fresh.state
+        before = len(served)
+        result = env.step(text)
+        assert result == StepResult(
+            fresh.observation, fresh.reward, after.score, after.done,
+            after.moves, fresh.outcome.kind, bool(fresh.diff.tree)), text
+        assert env.state.encode() == after.encode(), text
+        if len(served) > before:
+            covered.add(next(rule.effect.kind for rule in env.game.grammar
+                             if rule.id == fresh.outcome.rule_id)
+                        if fresh.applied else "rejected")
+            covered.update(("scored",) * (fresh.reward != 0) +
+                           ("ended",) * after.done)
+
+    for name in GAMES:
+        game = load_bundled(name)
+        templates = game.templates()
+        rng = random.Random(count)
+        store = make_store()
+        envs = [Environment(game, valid_action_cache=store)
+                for _ in range(count)]
+        for i, env in enumerate(envs):
+            env.reset(seed=10 + i)
+        progress = [0] * count
+        saves = []  # (snapshot, walkthrough progress), from every env
+        for _ in range(150):
+            i = rng.randrange(count)
+            env = envs[i]
+            env.observation()
+            if rng.random() < 0.5:
+                env.identify_valid_actions()
+            roll = rng.random()
+            if env.done or (saves and roll < 0.1):
+                if rng.random() < 0.2:
+                    env.reset(seed=rng.randrange(100))
+                    progress[i] = 0
+                else:
+                    snapshot, progress[i] = rng.choice(saves)
+                    env.load(snapshot)
+            elif roll < 0.55:  # a detour, then back one move later
+                here = env.save()
+                fillings = [c.surface for c in enumerate_candidates(
+                    templates, env.interactive_objects())]
+                text = rng.choice(fillings + [game.walkthrough[progress[i]],
+                                              "look", "inventory", "xyzzy"])
+                step(env, text)
+                env.load(here)
+                env.observation()
+                step(env, "look")
+                env.observation()
+                step(env, text)
+                env.load(here)
+            else:
+                step(env, game.walkthrough[progress[i]])
+                progress[i] += 1
+                saves.append((env.save(), progress[i]))
+    assert len(served) > 500
+    assert {"rejected", "emit-text", "set-global", "scored",
+            "ended"} <= covered, covered
+
+
+def test_a_rollout_step_neither_hashes_nor_stores(monkeypatch):
+    """With RANDOM_HANDICAPS (no load_save, so no observation keys a
+    situation) a step must not hash the state or fill the store: the
+    random-agent rollout pays nothing for the records."""
+    envs = []
+    real_env = training.Environment
+
+    def spy_env(*args, **kwargs):
+        envs.append(real_env(*args, **kwargs))
+        return envs[-1]
+
+    hashed = []
+    situation_hash = WorldState.situation_hash
+
+    def hash_spy(self):
+        hashed.append(self)
+        return situation_hash(self)
+
+    monkeypatch.setattr(training, "Environment", spy_env)
+    monkeypatch.setattr(WorldState, "situation_hash", hash_spy)
+    steps = sum(record.moves for name in GAMES for record in
+                training.run_random(load_bundled(name), seed=4, episodes=2))
+    assert steps > 100 and len(envs) == len(GAMES)
+    assert all(env.handicaps == training.RANDOM_HANDICAPS for env in envs)
+    assert hashed == [] and all(len(env._cache) == 0 for env in envs)

@@ -64,8 +64,10 @@ and prints a JSON digest of their outputs:
   turns: each turn observes, detects valid actions and follows the
   walkthrough, takes a random detour and returns, or loads a snapshot any
   of them saved; digesting every observation, valid-action surface and
-  step result, so that a store answering one environment from another's
-  state shows up as a differing digest.
+  step result, and the state's full encoding (tree, globals, counters and
+  rng) after every step, so that a store answering one environment from
+  another's state, or a step served from the store with another state's
+  counters or rng, shows up as a differing digest.
 
 Learner, benchmark and simulator outputs must match byte for byte. A
 random curve may differ only by the new checkout dropping a final episode
@@ -286,6 +288,10 @@ def shared(game, count: int) -> str:
     def add(value) -> None:
         digest.update(repr(value).encode())
 
+    def step(env, text: str) -> None:
+        add(env.step(text))
+        digest.update(env.state.encode())
+
     templates = game.templates()
     for store in ({}, LruCache(SHARED_CAPACITY)):
         envs = [Environment(game, valid_action_cache=store)
@@ -306,12 +312,12 @@ def shared(game, count: int) -> str:
                 here = env.save()
                 surfaces = [c.surface for c in enumerate_candidates(
                     templates, env.interactive_objects())]
-                add(env.step(rng.choice(surfaces or ["look"])))
+                step(env, rng.choice(surfaces or ["look"]))
                 add((env.observation(),
                      env.identify_valid_actions(dedup=True).surfaces))
                 env.load(here)
             else:
-                add(env.step(game.walkthrough[progress[i]]))
+                step(env, game.walkthrough[progress[i]])
                 progress[i] += 1
                 saves.append((env.save(), progress[i]))
     return digest.hexdigest()
